@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,16 @@ DEGENERATE_TOL = 1e-12
 H_SCALE = 1e-5
 SEAM_MARGIN = 1e-4
 CHART_RADIUS = 10.0
+# Fields are computed one block of at least BLOCK_POINTS points at a time,
+# and no block crosses the seam |z| = 1.  The floor is 2**14 complex values
+# (256 KiB): numpy rewrites `a * <temporary>` as `temporary *= a` only for
+# arrays that large, and complex multiplication is not bitwise commutative,
+# so a smaller block would round differently from one call on the whole
+# grid.  ExtendedMap.evaluate_array hands each branch the points on its own
+# side, so a block across the seam would give a branch fewer points than its
+# side holds; a block per side keeps every branch call on the same side of
+# the floor as a whole-grid call, and a side below the floor stays whole.
+BLOCK_POINTS = 2**14
 
 REGIONS = ("disc", "exterior_annulus", "sphere")
 
@@ -182,18 +192,19 @@ def _wirtinger_block(F, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return fz, fzb
 
 
-def _wirtinger_array(F, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    n = _threads()
-    if n <= 1 or Z.size < 4 * n:
-        return _wirtinger_block(F, Z)
-    chunks = np.array_split(Z, n)
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        parts = list(pool.map(lambda c: _wirtinger_block(F, c), chunks))
-    # concatenation in submission order keeps the result thread-count invariant
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+def _blocks(Z: np.ndarray) -> List[Tuple[int, int]]:
+    """(start, stop) bounds that cut each side of |z| = 1 into stencil blocks."""
+    inside = np.abs(Z) < 1.0
+    cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), Z.size]
+    bounds = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi == lo:
+            continue
+        n = max(1, (hi - lo) // BLOCK_POINTS)
+        q, r = divmod(hi - lo, n)
+        edges = [lo + i * q + min(i, r) for i in range(n + 1)]
+        bounds.extend(zip(edges[:-1], edges[1:]))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +226,54 @@ def _apply_zones(points: np.ndarray, zones) -> np.ndarray:
     return points[keep]
 
 
-def _field_on_points(
-    grid: FieldGrid, F, points: np.ndarray, label_points: Optional[np.ndarray] = None
-) -> BeltramiField:
-    """Shared reduction: stencil, degeneracy filter, deterministic argmax."""
-    if label_points is None:
-        label_points = points
-    fz, fzb = _wirtinger_array(F, points)
-    finite = np.isfinite(fz) & np.isfinite(fzb)
-    degenerate = ~finite | (np.abs(fz) < DEGENERATE_TOL)
-    n_deg = int(degenerate.sum())
+def _field_on_points(grid: FieldGrid, F, points: np.ndarray) -> BeltramiField:
+    """Blocked stencil and reduction: degeneracy count, mu, jacobian proxy and
+    the first argmax of |mu|, with no full-size temporaries."""
+    mu = np.empty(points.shape, dtype=np.complex128)
+    jac = np.empty(points.shape, dtype=np.float64)
+
+    def reduce_block(bounds):
+        lo, hi = bounds
+        fz, fzb = _wirtinger_block(F, points[lo:hi])
+        degenerate = ~(np.isfinite(fz) & np.isfinite(fzb)) | (np.abs(fz) < DEGENERATE_TOL)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(
+                np.where(degenerate, np.nan, fzb),
+                np.where(degenerate, 1.0, fz),
+                out=mu[lo:hi],
+            )
+            np.subtract(np.abs(fz) ** 2, np.abs(fzb) ** 2, out=jac[lo:hi])
+        absmu = np.where(degenerate, -np.inf, np.abs(mu[lo:hi]))
+        i = int(np.argmax(absmu))
+        return int(degenerate.sum()), lo + i, float(absmu[i])
+
+    blocks = _blocks(points)
+    n = _threads()
+    if n > 1 and len(blocks) > 1:
+        # blocks do not depend on n and results come back in block order,
+        # so any thread count gives the single-threaded output bit for bit
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(reduce_block, blocks))
+    else:
+        parts = [reduce_block(b) for b in blocks]
+
+    n_deg = sum(p[0] for p in parts)
     if points.size and n_deg > max(1, points.size // 100):
         raise DegenerateFieldError(
             f"{n_deg}/{points.size} stencil points have no usable F_z"
         )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mu = np.where(degenerate, np.nan, fzb) / np.where(degenerate, 1.0, fz)
-        jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
-    absmu = np.where(degenerate, -np.inf, np.abs(mu))
-    if points.size:
-        idx = int(np.argmax(absmu))
-        sup = float(absmu[idx]) if math.isfinite(absmu[idx]) else 0.0
-        arg = complex(label_points[idx])
-    else:
-        sup, arg = 0.0, 0j
+    # first occurrence of the largest |mu|, with NaN ranking first as in np.argmax
+    idx, best = 0, -math.inf
+    for _, i, v in parts:
+        if (math.isnan(v) and not math.isnan(best)) or v > best:
+            idx, best = i, v
     return BeltramiField(
         grid=grid,
-        points=label_points,
+        points=points,
         mu=mu,
         jacobian_proxy=jac,
-        sup_mu=sup,
-        argmax_point=arg,
+        sup_mu=best if math.isfinite(best) else 0.0,
+        argmax_point=complex(points[idx]) if points.size else 0j,
         degenerate_count=n_deg,
     )
 

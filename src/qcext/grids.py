@@ -70,12 +70,6 @@ def exterior_grid(
     return radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]
 
 
-def annulus_grid(spec: GridSpec, r_lo: float, r_hi: float) -> np.ndarray:
-    """Linearly spaced annulus, used by refinement sweeps near the seam."""
-    radii = np.linspace(r_lo, r_hi, spec.n_r)
-    return radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]
-
-
 def argmax_2d(values: np.ndarray) -> tuple[int, int]:
     """Row-major index of the maximum; NaNs never win."""
     flat = np.where(np.isnan(values), -np.inf, values).ravel()

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .classifiers import u_field
+from .classifiers import TAU_CLASS, u_field
 from .errors import PreconditionError
 from .grids import GridSpec, disc_grid
 from .mapexpr import (
@@ -52,7 +52,6 @@ T_MAX = 5.0
 TAU_PDE = 1e-6
 H_T = 1e-4
 H_Z = 1e-5
-TAU_CLASS = 1e-9
 N_SEAM = 4096
 
 CHAIN_KINDS = (

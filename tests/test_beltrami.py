@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcext.beltrami import (
+    DEGENERATE_TOL,
     DegenerateFieldError,
     FieldGrid,
     TAU_MU,
@@ -12,8 +13,10 @@ from qcext.beltrami import (
     certify_qc,
     infinity_chart_field,
     injectivity_floor,
+    _wirtinger_block,
     wirtinger,
 )
+from qcext.corpus import get_builtin
 from qcext.errors import PreconditionError
 from qcext.extensions import (
     ExtendedMap,
@@ -173,6 +176,57 @@ def test_threaded_field_is_bitwise_deterministic(monkeypatch):
     assert np.array_equal(one.mu, four.mu)
     assert np.array_equal(one.jacobian_proxy, four.jacobian_proxy)
     assert one.sup_mu == four.sup_mu and one.argmax_point == four.argmax_point
+
+
+def test_threaded_field_matches_on_a_multi_block_grid(monkeypatch):
+    # 200x200 gives two stencil blocks per side; a split by thread count
+    # would hand the map blocks below the elision floor and change mu
+    em = ext_mobius_convex(0.5)
+    grid = FieldGrid("sphere", 200, 200)
+    monkeypatch.setenv("QCX_THREADS", "1")
+    one = beltrami_field(em, grid)
+    monkeypatch.setenv("QCX_THREADS", "8")
+    eight = beltrami_field(em, grid)
+    assert np.array_equal(one.mu, eight.mu, equal_nan=True)
+    assert np.array_equal(one.jacobian_proxy, eight.jacobian_proxy, equal_nan=True)
+    assert one.sup_mu == eight.sup_mu and one.argmax_point == eight.argmax_point
+    assert one.degenerate_count == eight.degenerate_count
+
+
+def _whole_side_field(em, points):
+    """Reference field: one stencil call per side of the seam, then the
+    reduction over the whole grid at once."""
+    n_disc = int(np.count_nonzero(np.abs(points) < 1.0))
+    assert np.all(np.abs(points[n_disc:]) > 1.0)
+    sides = [_wirtinger_block(em.evaluate_array, s) for s in (points[:n_disc], points[n_disc:])]
+    fz = np.concatenate([s[0] for s in sides])
+    fzb = np.concatenate([s[1] for s in sides])
+    degenerate = ~(np.isfinite(fz) & np.isfinite(fzb)) | (np.abs(fz) < DEGENERATE_TOL)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu = np.where(degenerate, np.nan, fzb) / np.where(degenerate, 1.0, fz)
+        jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
+    absmu = np.where(degenerate, -np.inf, np.abs(mu))
+    idx = int(np.argmax(absmu))
+    sup = float(absmu[idx]) if math.isfinite(absmu[idx]) else 0.0
+    return mu, jac, sup, complex(points[idx]), int(degenerate.sum())
+
+
+@pytest.mark.parametrize(
+    "em",
+    [
+        ext_mobius_convex(0.5),
+        ext_huang_owa(get_builtin("example3").map()),
+        ext_thm2(get_builtin("example2").map()),
+    ],
+    ids=["mobius_convex", "example3", "example2"],
+)
+def test_blocked_field_is_bit_identical_to_whole_sides(em):
+    field = beltrami_field(em, FieldGrid("sphere", 400, 400))
+    mu, jac, sup, arg, n_deg = _whole_side_field(em, field.points)
+    assert np.array_equal(field.mu, mu, equal_nan=True)
+    assert np.array_equal(field.jacobian_proxy, jac, equal_nan=True)
+    assert field.sup_mu == sup and field.argmax_point == arg
+    assert field.degenerate_count == n_deg
 
 
 # ---------------------------------------------------------------------------
