@@ -61,8 +61,10 @@ class FieldGrid:
 
     region picks the side of the seam ("sphere" takes both).  r_bounds
     defaults leave a SEAM_MARGIN cushion so stencils never straddle the
-    circle.  exclusions are (center, radius) holes, on top of the holes
-    beltrami_field punches around the map's own special points.
+    circle; given bounds are clamped to that cushion, and bounds that leave
+    no radius on a side the region samples are refused.  exclusions are
+    (center, radius) holes, on top of the holes beltrami_field punches
+    around the map's own special points.
     """
 
     region: str = "sphere"
@@ -83,6 +85,10 @@ class FieldGrid:
             lo, hi = self.r_bounds
             if not 0 < lo < hi:
                 raise ValueError("r_bounds must be ordered and positive")
+            if self.region != "exterior_annulus" and lo >= 1.0 - SEAM_MARGIN:
+                raise ValueError("r_bounds leave no radius inside the seam")
+            if self.region != "disc" and hi <= 1.0 + SEAM_MARGIN:
+                raise ValueError("r_bounds leave no radius outside the seam")
 
     def points(self) -> np.ndarray:
         th = 2.0 * np.pi * (np.arange(self.n_theta) + 0.5) / self.n_theta

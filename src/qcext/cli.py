@@ -22,6 +22,7 @@ from .report import (
     EXIT_USAGE,
     THEOREMS,
     _resolve_map,
+    _resolve_source,
     build_extension,
     run_chain,
     run_verify,
@@ -109,7 +110,7 @@ def _render_extension(args, params) -> None:
         args.map_text, args.builtin, args.theorem, params
     )
     em = build_extension(theorem, parse_map(text), merged)
-    write_ppm(args.image, render_map(em.evaluate_array, args.style, 512))
+    write_ppm(args.image, render_map(em.evaluate_array, args.style))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -142,14 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _emit(report, args)
             return code
         # render
-        if (args.map_text is None) == (args.builtin is None):
-            raise ValueError("give exactly one of --map or --builtin")
-        if args.builtin is not None:
-            from .corpus import get_builtin
-
-            text = get_builtin(args.builtin).text(params)
-        else:
-            text = args.map_text
+        _, _, text = _resolve_source(args.map_text, args.builtin, params)
         f = parse_map(text)
         rgb = render_map(
             lambda Z: eval_array(f, Z), args.style, args.resolution, args.window

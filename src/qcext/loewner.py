@@ -547,8 +547,10 @@ def check_theorem_A(
 ) -> ChainCheckReport:
     """Grid verification of the chain characterization plus the disc-of-k
     radius sweep.  passed requires positive Re p, the D(k) sup within the
-    claimed bound, and the PDE residual within tolerance; the remaining
-    fields are diagnostics."""
+    claimed bound, the PDE residual within tolerance, the growth bound
+    holding on the doubled mesh (k0_refined_ok) and subordination.
+    growth_ratio and a1_fit_max_err are reported only: the package has no
+    tolerance for either."""
     grid = grid or ChainGrid()
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
@@ -594,11 +596,14 @@ def check_theorem_A(
 
     dk_sup = check_dk(spec, ChainGrid(GridSpec(32, 32), 16, grid.t_max))
     resid = pde_residual_sup(spec, r0, ChainGrid(GridSpec(24, 24), grid.n_t, grid.t_max))
+    subordinate = subordination_ok(spec, r0)
 
     passed = (
         min_re > 0.0
         and dk_sup <= spec.claimed_k + TAU_CLASS
         and resid <= TAU_PDE
+        and k0_refined_ok
+        and subordinate
     )
     return ChainCheckReport(
         r0=r0,
@@ -611,5 +616,5 @@ def check_theorem_A(
         k0_refined_ok=k0_refined_ok,
         growth_ratio=growth_ratio,
         a1_fit_max_err=a1_fit_error(spec, r0),
-        subordination_ok=subordination_ok(spec, r0),
+        subordination_ok=subordinate,
     )

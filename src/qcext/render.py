@@ -3,6 +3,13 @@
 PPM (P6, 8-bit, no comment lines) keeps goldens bit-exact with zero image
 dependencies.  All pixel math is vectorized and deterministic for fixed
 inputs; file writes happen in one shot at the end.
+
+Domain coloring builds its bytes in 8-bit planes.  The HSV -> RGB formula
+gives every channel one of four values, v, p, q or t, picked by the hue
+sextant.  Each of the four is quantised once to uint8, and every pixel then
+copies its (r, g, b) bytes from those planes through a fixed 6x3 pick table.
+Quantising works element by element, so this gives the same bytes as picking
+float channels first and quantising the (H, W, 3) stack.
 """
 
 from __future__ import annotations
@@ -32,17 +39,35 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
         fh.write(data)
 
 
-def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h = np.mod(h, 1.0) * 6.0
-    i = np.floor(h).astype(int) % 6
-    f = h - np.floor(h)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+# (r, g, b) of each hue sextant, as indices into the planes (v, p, q, t)
+_SEXTANT_PICKS = ((0, 3, 1), (2, 0, 1), (1, 0, 3), (1, 2, 0), (3, 1, 0), (0, 1, 2))
+
+
+def _to_bytes(x: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
+
+
+def _hsv_bytes(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(..., 3) uint8 RGB for hue h in turns, saturation s and value v."""
+    # h - floor(h) is h mod 1 bit for bit, -0.0 included, and cheaper
+    h = (h - np.floor(h)) * 6.0
+    sextant = np.floor(h)
+    f = h - sextant
+    i = sextant.astype(np.uint8)
+    # h mod 1 rounds up to 1.0 for a tiny negative hue
+    i[i == 6] = 0
+    planes = (
+        _to_bytes(v),
+        _to_bytes(v * (1.0 - s)),
+        _to_bytes(v * (1.0 - s * f)),
+        _to_bytes(v * (1.0 - s * (1.0 - f))),
+    )
+    rgb = np.empty(v.shape + (3,), dtype=np.uint8)
+    for k, picks in enumerate(_SEXTANT_PICKS):
+        here = i == k
+        for channel, plane in enumerate(picks):
+            np.copyto(rgb[..., channel], planes[plane], where=here)
+    return rgb
 
 
 def _pixel_window(resolution: int, window: float):
@@ -62,19 +87,19 @@ def render_domaincolor(fn, resolution: int = 512, window: float = 2.5) -> np.nda
         W = np.asarray(fn(Z), dtype=np.complex128)
         hue = np.angle(W) / (2.0 * np.pi)
         mag = np.abs(W)
-        band = np.zeros_like(mag)
         pos = np.isfinite(mag) & (mag > 0)
-        band[pos] = np.log2(mag[pos]) - np.floor(np.log2(mag[pos]))
+        octave = np.log2(mag[pos])
+        band = np.zeros_like(mag)
+        band[pos] = octave - np.floor(octave)
         val = 0.55 + 0.45 * band
-        sat = np.where(np.isfinite(mag), 0.9, 0.0)
         tiny = mag < 1e-8
-        val = np.where(tiny, 0.05, val)
         huge = ~np.isfinite(mag) | (mag > 1e8)
-        val = np.where(huge, 1.0, val)
-        sat = np.where(huge | tiny, 0.0, sat)
-        hue = np.where(np.isfinite(hue), hue, 0.0)
-    rgb = _hsv_to_rgb(hue, sat, val)
-    return np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
+        val[tiny] = 0.05
+        val[huge] = 1.0
+        # nonfinite moduli count as huge, so they get saturation 0 as well
+        sat = np.where(huge | tiny, 0.0, 0.9)
+        hue[~np.isfinite(hue)] = 0.0
+    return _hsv_bytes(hue, sat, val)
 
 
 def _paint(buf: np.ndarray, w: np.ndarray, window: float, color) -> None:

@@ -287,6 +287,21 @@ def _class_params_for(theorem: str, params: Dict[str, complex]) -> ClassParams:
 # pipelines
 
 
+def _resolve_source(
+    map_text: Optional[str],
+    builtin: Optional[str],
+    params: Optional[Dict[str, complex]],
+):
+    """The map alone: (builtin or None, merged params, expression text)."""
+    if (map_text is None) == (builtin is None):
+        raise ValueError("give exactly one of a map expression or a builtin id")
+    if builtin is not None:
+        ex = get_builtin(builtin)
+        return ex, ex.params(params), ex.text(params)
+    merged = {name: complex(val) for name, val in (params or {}).items()}
+    return None, merged, map_text
+
+
 def _resolve_map(
     map_text: Optional[str],
     builtin: Optional[str],
@@ -294,21 +309,14 @@ def _resolve_map(
     params: Optional[Dict[str, complex]],
 ):
     """Common front half: substitute, parse, pick theorem and class."""
-    if (map_text is None) == (builtin is None):
-        raise ValueError("give exactly one of a map expression or a builtin id")
-    if builtin is not None:
-        ex = get_builtin(builtin)
-        merged = ex.params(params)
-        text = ex.text(params)
+    ex, merged, text = _resolve_source(map_text, builtin, params)
+    if ex is not None:
         theorem = theorem or ex.theorem
-        class_name = ex.class_name
-        cls_params = ex.class_params(params)
-        return ex, merged, text, theorem, class_name, cls_params
-    merged = {name: complex(val) for name, val in (params or {}).items()}
+        return ex, merged, text, theorem, ex.class_name, ex.class_params(params)
     theorem = theorem or "t1"
     class_name = THEOREM_CLASS.get(theorem)
     cls_params = _class_params_for(theorem, merged)
-    return None, merged, map_text, theorem, class_name, cls_params
+    return None, merged, text, theorem, class_name, cls_params
 
 
 def run_verify(
@@ -365,18 +373,13 @@ def run_chain(
     no_timestamp: bool = False,
 ) -> Tuple[VerificationReport, int]:
     t0 = time.perf_counter()
-    if (map_text is None) == (builtin is None):
-        raise ValueError("give exactly one of a map expression or a builtin id")
-    if builtin is not None:
-        ex = get_builtin(builtin)
+    ex, _, echo = _resolve_source(map_text, builtin, params)
+    text = echo
+    if ex is not None:
         chain = chain or ex.chain
         if chain is None:
             raise ValueError(f"builtin {builtin!r} declares no chain kind")
         text = ex.chain_text(params)
-        echo = ex.text(params)
-    else:
-        ex = None
-        text = echo = map_text
     if chain is None:
         raise ValueError("a chain kind is required")
     kind = CHAIN_KINDS_SHORT.get(chain, chain)

@@ -99,6 +99,20 @@ def test_grid_rejects_unordered_bounds():
         FieldGrid("disc", r_bounds=(0.9, 0.1))
 
 
+@pytest.mark.parametrize(
+    "region, bounds",
+    [
+        ("sphere", (2.0, 5.0)),
+        ("disc", (1.0 - 1e-4, 2.0)),
+        ("sphere", (0.5, 1.0 + 1e-4)),
+        ("exterior_annulus", (0.2, 0.9)),
+    ],
+)
+def test_grid_rejects_bounds_on_the_wrong_side_of_the_seam(region, bounds):
+    with pytest.raises(ValueError):
+        FieldGrid(region, 4, 4, r_bounds=bounds)
+
+
 def test_grid_points_avoid_seam():
     r_in = np.abs(FieldGrid("disc", 8, 8).points())
     r_out = np.abs(FieldGrid("exterior_annulus", 8, 8).points())

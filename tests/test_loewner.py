@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcext import loewner
 from qcext.errors import PreconditionError
 from qcext.loewner import (
     ChainCheckReport,
@@ -283,6 +284,13 @@ def test_theorem_a_flags_out_of_class_map():
     report = check_theorem_A(spec)
     assert not report.passed
     assert report.herglotz_min_re < 0
+
+
+def test_theorem_a_gates_on_subordination(monkeypatch):
+    monkeypatch.setattr(loewner, "subordination_ok", lambda spec, r0: False)
+    report = check_theorem_A(build_chain("thm2_eq3", EX2))
+    assert not report.subordination_ok
+    assert not report.passed
 
 
 def test_krzyz_scaled_limit_is_exact_for_linear_w():
