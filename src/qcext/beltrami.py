@@ -11,8 +11,6 @@ knows nothing about them.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -21,7 +19,7 @@ import numpy as np
 from .classifiers import POLE_EXCLUSION
 from .errors import PreconditionError
 from .extensions import SEAM_EPS, TAU_SEAM, ExtendedMap, SeamGap, seam_gap
-from .grids import MAX_GRID_POINTS
+from .grids import MAX_GRID_POINTS, seam_circle
 from .sphere import is_infinity
 
 TAU_MU = 1e-3
@@ -45,14 +43,6 @@ REGIONS = ("disc", "exterior_annulus", "sphere")
 
 class DegenerateFieldError(ArithmeticError):
     """Too many stencil points with vanishing F_z to trust the field."""
-
-
-def _threads() -> int:
-    try:
-        n = int(os.environ.get("QCX_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -91,8 +81,7 @@ class FieldGrid:
                 raise ValueError("r_bounds leave no radius outside the seam")
 
     def points(self) -> np.ndarray:
-        th = 2.0 * np.pi * (np.arange(self.n_theta) + 0.5) / self.n_theta
-        rays = np.exp(1j * th)
+        rays = seam_circle(self.n_theta)
 
         def polar(lo, hi):
             radii = np.linspace(lo, hi, self.n_r)
@@ -253,15 +242,7 @@ def _field_on_points(grid: FieldGrid, F, points: np.ndarray) -> BeltramiField:
         i = int(np.argmax(absmu))
         return int(degenerate.sum()), lo + i, float(absmu[i])
 
-    blocks = _blocks(points)
-    n = _threads()
-    if n > 1 and len(blocks) > 1:
-        # blocks do not depend on n and results come back in block order,
-        # so any thread count gives the single-threaded output bit for bit
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(reduce_block, blocks))
-    else:
-        parts = [reduce_block(b) for b in blocks]
+    parts = [reduce_block(b) for b in _blocks(points)]
 
     n_deg = sum(p[0] for p in parts)
     if points.size and n_deg > max(1, points.size // 100):

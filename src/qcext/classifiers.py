@@ -204,23 +204,19 @@ def phi_from_map(f: MapExpr) -> MapExpr:
 # chart values at infinity for the exterior criteria
 
 
-def _leading(g: MapExpr) -> tuple[int, np.ndarray]:
-    return laurent_at_infinity(g, 4)
-
-
 def _chart_value(g: MapExpr, which: str) -> float:
     """The criterion functional evaluated at the point at infinity."""
     if which == "M_Ug":
         v = eval_map(u_expr(g), INFINITY)
         return math.inf if is_infinity(v) else abs(v)
     if which == "M_corollary1":
-        k, c = _leading(g)
+        k, c = laurent_at_infinity(g, 4)
         if k != 1:
             return math.inf
         return abs(1.0 / c[0] + 1.0)
     if which == "M_krzyz_decay":
         # (g' - 1) * z^2 tends to -c2 when g = z + c1 + c2/z + ...
-        k, c = _leading(g)
+        k, c = laurent_at_infinity(g, 4)
         if k != 1 or abs(c[0] - 1.0) > 1e-12:
             return math.inf
         return abs(c[2])

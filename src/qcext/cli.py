@@ -21,9 +21,7 @@ from .report import (
     EXIT_SINGULAR,
     EXIT_USAGE,
     THEOREMS,
-    _resolve_map,
     _resolve_source,
-    build_extension,
     run_chain,
     run_verify,
 )
@@ -105,14 +103,6 @@ def _emit(report, args) -> None:
         sys.stdout.write(body if body.endswith("\n") else body + "\n")
 
 
-def _render_extension(args, params) -> None:
-    _, merged, text, theorem, _, _ = _resolve_map(
-        args.map_text, args.builtin, args.theorem, params
-    )
-    em = build_extension(theorem, parse_map(text), merged)
-    write_ppm(args.image, render_map(em.evaluate_array, args.style))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -128,7 +118,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             _emit(report, args)
             if args.image:
-                _render_extension(args, params)
+                write_ppm(
+                    args.image,
+                    render_map(report.extended_map.evaluate_array, args.style),
+                )
             return code
         if args.command == "chain":
             report, code = run_chain(

@@ -72,9 +72,6 @@ class BuiltinExample:
         tpl = self.chain_template or self.template
         return tpl.format_map(self._slot_text(self.params(overrides)))
 
-    def chain_map(self, overrides: Optional[ParamMap] = None) -> MapExpr:
-        return parse_map(self.chain_text(overrides))
-
     def expected_k(self, overrides: Optional[ParamMap] = None) -> Optional[float]:
         if self.k_of is None:
             return None

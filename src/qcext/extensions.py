@@ -24,8 +24,8 @@ import numpy as np
 
 from .classifiers import phi_from_map, u_field
 from .errors import PreconditionError
+from .grids import N_SEAM, seam_circle, seam_sup
 from .loewner import (
-    N_SEAM,
     LoewnerChainSpec,
     chain_eval_array,
     check_theorem_A,
@@ -49,37 +49,15 @@ from .mapexpr import (
     poles_in_disc,
     print_expr,
     rational_form,
+    shifted_difference,
     taylor_jet,
 )
-from .sphere import ExtComplex, INFINITY, chordal, chordal_array, is_infinity
+from .sphere import ExtComplex, INFINITY, _point_json, chordal, chordal_array, is_infinity
 
 TAU_SEAM = 1e-9
 SEAM_EPS = 1e-6
 
 SpecialPoint = Tuple[ExtComplex, ExtComplex]
-
-
-def _circle(n: int = N_SEAM) -> np.ndarray:
-    # half-offset keeps samples away from poles sitting at rational angles
-    th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    return np.exp(1j * th)
-
-
-def _sup(vals: np.ndarray) -> float:
-    a = np.abs(np.asarray(vals)).ravel()
-    bad = ~np.isfinite(a)
-    if bad.any():
-        if int(bad.sum()) > max(2, a.size // 500):
-            return math.inf
-        a = a[~bad]
-    return float(a.max())
-
-
-def _point_json(v: ExtComplex):
-    if is_infinity(v):
-        return "infinity"
-    v = complex(v)
-    return [v.real, v.imag]
 
 
 @dataclass(frozen=True)
@@ -179,7 +157,7 @@ def seam_gap(em: ExtendedMap, n: int = N_SEAM, eps: float = SEAM_EPS) -> SeamGap
     chordal number is the meaningful one near seam poles, where both branches
     blow up together and absolute differences lose their footing.
     """
-    circle = _circle(n)
+    circle = seam_circle(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner_on = eval_array(em.inner, circle)
         outer_on = em.outer(circle)
@@ -237,7 +215,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
     a2 = complex(c[2])
     phi = phi_from_map(f)
     ratio = MapExpr(Div(phi.root, Var()), f"({print_expr(phi.root)})/z")
-    claimed = _sup(eval_array(derive(ratio), _circle()))
+    claimed = seam_sup(eval_array(derive(ratio), seam_circle()))
 
     def outer(Z):
         W = 1.0 / np.conj(Z)
@@ -266,7 +244,7 @@ def ext_thm2(f: MapExpr) -> ExtendedMap:
             f"second coefficient must vanish for this extension, got {c[2]}"
         )
     recip = MapExpr(Div(Const(1.0 + 0j), f.root), f"1/({print_expr(f.root)})")
-    claimed = _sup(u_field(f, _circle()))
+    claimed = seam_sup(u_field(f, seam_circle()))
 
     def outer(Z):
         # divide through by f(1/z-bar) so reflected poles stay finite
@@ -374,8 +352,8 @@ def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
         raise PreconditionError("lambda must be nonzero")
     if is_infinity(eval_map(f, 0j)):
         raise PreconditionError("map must be finite at 0")
-    circle = _circle()
-    claimed = _sup(lam * eval_array(derive(f), circle) - 1.0)
+    circle = seam_circle()
+    claimed = seam_sup(lam * eval_array(derive(f), circle) - 1.0)
 
     def outer(Z):
         W = 1.0 / np.conj(Z)
@@ -403,7 +381,7 @@ def ext_thm5(f: MapExpr) -> ExtendedMap:
     """
     if is_infinity(eval_map(f, 0j)):
         raise PreconditionError("map must be finite at 0")
-    claimed = _sup(eval_array(derive(f), _circle()) + 1.0)
+    claimed = seam_sup(eval_array(derive(f), seam_circle()) + 1.0)
 
     def outer(Z):
         W = 1.0 / np.conj(Z)
@@ -454,14 +432,10 @@ def _recover_w(g: MapExpr) -> MapExpr:
     shared singular part exactly.
     """
     P, Q = rational_form(compose(g, parse_map("1/z")))
-    n = max(len(P) + 1, len(Q))
-    num = np.zeros(n, dtype=np.complex128)
-    num[1 : len(P) + 1] += P  # z * P
-    num[: len(Q)] -= Q
+    num = shifted_difference(P, Q)
     den = np.zeros(len(Q) + 1, dtype=np.complex128)
     den[1:] = Q  # z * Q
     scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
-    num[np.abs(num) <= 1e-12 * scale] = 0.0
     den[np.abs(den) <= 1e-12 * scale] = 0.0
     v = 0
     while v < len(num) and v < len(den) and num[v] == 0 and den[v] == 0:
@@ -507,7 +481,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
     elif abs(c0 - 1.0) > 1e-9:
         raise PreconditionError(f"leading coefficient must be 1, got {c0}")
 
-    circle = _circle()
+    circle = seam_circle()
     gp = derive(g)
     if which in ("krzyz", "krzyz_decay"):
         w = _recover_w(g)
@@ -519,13 +493,13 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
                 stacklevel=2,
             )
         if which == "krzyz_decay":
-            zs = 1.0 / (np.linspace(1.05, 3.0, 48) * _circle(48))
+            zs = 1.0 / (np.linspace(1.05, 3.0, 48) * seam_circle(48))
             lhs = np.abs(eval_array(derive(w), zs))
             rhs = np.abs(eval_array(gp, 1.0 / zs) - 1.0) / np.abs(zs) ** 2
-            if _sup(lhs - rhs) > 1e-9 * (1.0 + _sup(rhs)):
+            if seam_sup(lhs - rhs) > 1e-9 * (1.0 + seam_sup(rhs)):
                 raise ArithmeticError("derivative decay identity violated")
         wp = derive(w)
-        claimed = _sup(eval_array(wp, circle))
+        claimed = seam_sup(eval_array(wp, circle))
 
         def outer(Z):
             return Z + eval_array(w, np.conj(Z))
@@ -536,7 +510,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
         sign = 1.0 if which == "thm4" else -1.0
         G = eval_array(g, circle)
         Gp = eval_array(gp, circle)
-        claimed = _sup((circle / G) ** 2 * Gp - sign)
+        claimed = seam_sup((circle / G) ** 2 * Gp - sign)
 
         def outer(Z):
             Zb = np.conj(Z)

@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .classifiers import TAU_CLASS, u_field
 from .errors import PreconditionError
-from .grids import GridSpec, disc_grid
+from .grids import GridSpec, _angles, disc_grid, seam_circle, seam_sup
 from .mapexpr import (
     Add,
     Const,
@@ -44,6 +44,7 @@ from .mapexpr import (
     poles_in_disc,
     print_expr,
     rational_form,
+    shifted_difference,
     taylor_jet,
 )
 from .sphere import ExtComplex, is_infinity, safe_div
@@ -52,7 +53,6 @@ T_MAX = 5.0
 TAU_PDE = 1e-6
 H_T = 1e-4
 H_Z = 1e-5
-N_SEAM = 4096
 
 CHAIN_KINDS = (
     "thm2_eq3",
@@ -154,42 +154,18 @@ class ChainCheckReport:
 # construction
 
 
-def _seam_circle(n: int = N_SEAM) -> np.ndarray:
-    # half-step offset: boundary poles of the example maps sit at grid-round
-    # angles like 0, which an unshifted circle would hit exactly
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    return np.exp(1j * theta)
-
-
-def _seam_sup(values: np.ndarray) -> float:
-    """Max modulus over seam samples.
-
-    Criterion functionals extend continuously across isolated boundary poles
-    of the map, but raw grid evaluation yields nan there; a handful of such
-    artifacts is skipped, while widespread blowup reports inf honestly.
-    """
-    vals = np.abs(np.asarray(values))
-    finite = np.isfinite(vals)
-    bad = vals.size - int(np.sum(finite))
-    if bad == 0:
-        return float(np.max(vals))
-    if bad <= max(2, vals.size // 500):
-        return float(np.max(vals[finite]))
-    return math.inf
-
-
 def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
     """Validate the base map for the requested kind and derive c_lead and
     the claimed criterion sup (sampled on a dense seam circle)."""
     if kind not in CHAIN_KINDS:
         raise ValueError(f"unknown chain kind {kind!r}")
-    circle = _seam_circle()
+    circle = seam_circle()
 
     if kind in ("thm2_eq3", "convex_chain"):
         if not is_normalized(base_map):
             raise PreconditionError(f"{kind} needs f(0)=0 and f'(0)=1")
         if kind == "thm2_eq3":
-            claimed = _seam_sup(u_field(base_map, circle))
+            claimed = seam_sup(u_field(base_map, circle))
         else:
             claimed = abs(taylor_jet(base_map, 2)[2])
         return LoewnerChainSpec(kind, base_map, 1.0 + 0j, claimed)
@@ -198,7 +174,7 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
         jet = taylor_jet(base_map, 2)
         if abs(jet[0]) > 1e-12:
             raise PreconditionError("thm5_chain needs f(0)=0")
-        claimed = _seam_sup(eval_array(derive(base_map), circle) + 1.0)
+        claimed = seam_sup(eval_array(derive(base_map), circle) + 1.0)
         return LoewnerChainSpec(kind, base_map, jet[1], claimed)
 
     if kind == "krzyz_eq9":
@@ -209,7 +185,7 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
             )
         if poles_in_disc(base_map, 1.0):
             raise PreconditionError("krzyz_eq9 needs w analytic on the disc")
-        claimed = _seam_sup(eval_array(derive(base_map), circle))
+        claimed = seam_sup(eval_array(derive(base_map), circle))
         return LoewnerChainSpec(kind, base_map, 1.0 + 0j, claimed)
 
     # exterior kinds: base_map is g with a simple pole at infinity
@@ -239,9 +215,9 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
         G = eval_array(base_map, circle)
         Gp = eval_array(derive(base_map), circle)
         if kind == "exterior_eq7a1":
-            claimed = _seam_sup((circle / G) ** 2 * Gp - 1.0)
+            claimed = seam_sup((circle / G) ** 2 * Gp - 1.0)
         else:
-            claimed = _seam_sup((circle / G) ** 2 * Gp + 1.0)
+            claimed = seam_sup((circle / G) ** 2 * Gp + 1.0)
     return LoewnerChainSpec(kind, base_map, c0, claimed)
 
 
@@ -278,13 +254,7 @@ def _stable_ratio(m: MapExpr):
     scale are rounding dust and get zeroed.
     """
     P, Q = rational_form(m)
-    n = max(len(Q) + 1, len(P))
-    A = np.zeros(n, dtype=np.complex128)
-    A[1 : len(Q) + 1] += Q
-    A[: len(P)] -= P
-    scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
-    A[np.abs(A) <= 1e-12 * scale] = 0.0
-    return np.asarray(P, dtype=np.complex128), A
+    return np.asarray(P, dtype=np.complex128), shifted_difference(Q, P)
 
 
 def chain_eval(spec: LoewnerChainSpec, z: ExtComplex, t: float) -> ExtComplex:
@@ -503,8 +473,8 @@ def subordination_ok(spec: LoewnerChainSpec, r0: float) -> bool:
     """Image of |z| = 0.9*r0 under f(.,s) must sit inside the image Jordan
     curve under f(.,t) for s < t (winding number 1 at every sample)."""
     r = 0.9 * r0
-    inner_pts = r * np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
-    curve_pts = r * np.exp(1j * np.linspace(0, 2 * np.pi, 1024, endpoint=False))
+    inner_pts = r * np.exp(1j * _angles(64))
+    curve_pts = r * np.exp(1j * _angles(1024))
     times = [0.0, 1.0, 2.5]
     for s, t in zip(times, times[1:]):
         small = chain_eval_array(spec, inner_pts, s)
@@ -575,9 +545,7 @@ def check_theorem_A(
     # re-verify the fitted bound on a doubled mesh
     fine = GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta)
     Zf = disc_grid(fine, r_max=r0)
-    tf = np.linspace(0.0, grid.t_max, 2 * grid.n_t)
-    if window is not None:
-        tf = tf[(tf < window[0]) | (tf > window[1])]
+    tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples(window)
     k0_refined_ok = True
     for t in tf:
         vals = np.abs(chain_eval_array(spec, Zf, t))

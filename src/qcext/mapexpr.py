@@ -469,6 +469,21 @@ def rational_form(m: MapExpr | Node) -> tuple[np.ndarray, np.ndarray]:
     return _rational(_root(m))
 
 
+def shifted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of z*a(z) - b(z), with entries at or below
+    1e-12 of the largest coefficient of a or b set to zero.
+
+    Callers pick a and b so that the low orders cancel exactly in theory;
+    in floating point what is left of them is rounding dust.
+    """
+    out = np.zeros(max(len(a) + 1, len(b)), dtype=np.complex128)
+    out[1 : len(a) + 1] += a
+    out[: len(b)] -= b
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    out[np.abs(out) <= 1e-12 * scale] = 0.0
+    return out
+
+
 def _rational(node: Node) -> tuple[np.ndarray, np.ndarray]:
     one = np.ones(1, dtype=np.complex128)
     if isinstance(node, Const):
@@ -700,10 +715,6 @@ class SeriesJet:
 
     center: complex
     coeffs: tuple[complex, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def __getitem__(self, j: int) -> complex:
         return self.coeffs[j]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .beltrami import DegenerateFieldError, FieldGrid, certify_qc
@@ -38,7 +38,7 @@ from .loewner import (
     build_chain,
 )
 from .mapexpr import MapExpr, parse_map, taylor_jet
-from .sphere import is_infinity
+from .sphere import _point_json
 from .version import VERSION
 
 EXIT_PASS = 0
@@ -114,13 +114,6 @@ def dump_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _point_json(p):
-    if is_infinity(p):
-        return "infinity"
-    p = complex(p)
-    return [p.real, p.imag]
-
-
 def _verdict_json(v: ClassVerdict) -> dict:
     return {
         "class_name": v.class_name,
@@ -147,6 +140,8 @@ class VerificationReport:
     schema: int = 1
     timestamp: Optional[str] = None
     notes: Tuple[str, ...] = ()
+    # the built extension, for rendering; never serialized
+    extended_map: Optional[ExtendedMap] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -221,15 +216,22 @@ def _wall(t0: float, no_timestamp: bool) -> float:
 # extension dispatch
 
 
-def _mobius_a2(f: MapExpr) -> complex:
-    jet = taylor_jet(f, 6)
-    ujet = u_jet(f, 6)
-    if max(abs(c) for c in ujet) > 1e-9:
+def _mobius_a2(f: MapExpr) -> Optional[complex]:
+    """a2 of f when the small functional U_f vanishes identically (a disc
+    automorphism denominator), else None."""
+    if max(abs(c) for c in u_jet(f, 6)) > 1e-9:
+        return None
+    return complex(taylor_jet(f, 6)[2])
+
+
+def _require_mobius_a2(f: MapExpr) -> complex:
+    a2 = _mobius_a2(f)
+    if a2 is None:
         raise PreconditionError(
             "this case applies only when the small functional vanishes "
             "identically (a disc automorphism denominator)"
         )
-    return complex(jet[2])
+    return a2
 
 
 def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> ExtendedMap:
@@ -251,19 +253,16 @@ def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> Ext
     if theorem == "t5":
         return ext_thm5(f)
     if theorem == "convex":
-        return ext_mobius_convex(_mobius_a2(f))
+        return ext_mobius_convex(_require_mobius_a2(f))
     M = abs(params.get("M", 2.0 + 0j))
     profile = RadialProfile(M)
     if theorem == "psi":
         if "p" in params:
             return ext_radial_psi("vp_pole", params["p"].real, profile)
-        return ext_radial_psi("unimodular_a2", _mobius_a2(f), profile)
+        return ext_radial_psi("unimodular_a2", _require_mobius_a2(f), profile)
     # t1 splits on whether the small functional vanishes identically
-    ujet = u_jet(f, 6)
-    if max(abs(c) for c in ujet) > 1e-9:
-        return ext_huang_owa(f)
-    a2 = complex(taylor_jet(f, 6)[2])
-    if abs(a2) < 1e-12:
+    a2 = _mobius_a2(f)
+    if a2 is None or abs(a2) < 1e-12:
         return ext_huang_owa(f)
     if abs(abs(a2) - 1.0) <= 1e-9:
         return ext_radial_psi("unimodular_a2", a2, profile)
@@ -359,6 +358,7 @@ def run_verify(
         wall_time_ms=_wall(t0, no_timestamp),
         timestamp=_timestamp(no_timestamp),
         notes=tuple(notes),
+        extended_map=em,
     )
     return report, (EXIT_PASS if overall else EXIT_FAIL)
 
@@ -392,7 +392,7 @@ def run_chain(
     lo = dataclasses.asdict(chk)
     lo["kind"] = kind
     lo["base_map"] = text
-    window = spec.a1_zero_window()
+    window = spec.a1_zero_window(cg.t_max)
     if window is not None:
         lo["a1_zero_window"] = list(window)
 

@@ -180,33 +180,6 @@ def test_field_summary_shape():
     assert s["mesh"] == "8x8 disc"
 
 
-def test_threaded_field_is_bitwise_deterministic(monkeypatch):
-    em = ext_thm2(EX2)
-    grid = FieldGrid("sphere", 16, 16)
-    monkeypatch.setenv("QCX_THREADS", "1")
-    one = beltrami_field(em, grid)
-    monkeypatch.setenv("QCX_THREADS", "4")
-    four = beltrami_field(em, grid)
-    assert np.array_equal(one.mu, four.mu)
-    assert np.array_equal(one.jacobian_proxy, four.jacobian_proxy)
-    assert one.sup_mu == four.sup_mu and one.argmax_point == four.argmax_point
-
-
-def test_threaded_field_matches_on_a_multi_block_grid(monkeypatch):
-    # 200x200 gives two stencil blocks per side; a split by thread count
-    # would hand the map blocks below the elision floor and change mu
-    em = ext_mobius_convex(0.5)
-    grid = FieldGrid("sphere", 200, 200)
-    monkeypatch.setenv("QCX_THREADS", "1")
-    one = beltrami_field(em, grid)
-    monkeypatch.setenv("QCX_THREADS", "8")
-    eight = beltrami_field(em, grid)
-    assert np.array_equal(one.mu, eight.mu, equal_nan=True)
-    assert np.array_equal(one.jacobian_proxy, eight.jacobian_proxy, equal_nan=True)
-    assert one.sup_mu == eight.sup_mu and one.argmax_point == eight.argmax_point
-    assert one.degenerate_count == eight.degenerate_count
-
-
 def _whole_side_field(em, points):
     """Reference field: one stencil call per side of the seam, then the
     reduction over the whole grid at once."""

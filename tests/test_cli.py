@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from qcext import cli, report
 from qcext.cli import main
+from qcext.report import build_extension
 
 
 def test_verify_writes_deterministic_json(tmp_path, capsys):
@@ -156,6 +158,22 @@ def test_verify_optional_image(tmp_path, capsys):
     )
     assert code == 0
     assert img.read_bytes().startswith(b"P6\n")
+
+
+def test_verify_image_builds_the_extension_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build_extension(*args, **kwargs)
+
+    monkeypatch.setattr(report, "build_extension", counted)
+    # counts a build through a name the front end imported itself, too
+    monkeypatch.setattr(cli, "build_extension", counted, raising=False)
+    args = ["verify", "--builtin", "mobius", "--grid", "16x16", "--no-timestamp"]
+    args += ["--image", str(tmp_path / "ext.ppm"), "--out", str(tmp_path / "m.json")]
+    assert main(args) == 0
+    assert calls == ["convex"]
 
 
 def test_module_entry_point(tmp_path):

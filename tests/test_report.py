@@ -139,6 +139,13 @@ def test_chain_identity_is_trivial():
     assert report.loewner["dk_radius_sup"] <= 1e-9
 
 
+@pytest.mark.parametrize("tmax, window", [(0.2, None), (5.0, [0.3, 0.4])])
+def test_chain_reports_the_a1_window_of_its_own_tmax(tmax, window):
+    # the a1 zero of this cor1 chain sits near t = 0.35
+    report, _ = run_chain(map_text="z+0.1/z", chain="cor1", tmax=tmax, no_timestamp=True)
+    assert report.loewner.get("a1_zero_window") == window
+
+
 def test_chain_flag_validation():
     with pytest.raises(ValueError):
         run_chain(builtin="example1")  # declares no chain kind
