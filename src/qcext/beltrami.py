@@ -18,7 +18,7 @@ import numpy as np
 
 from .classifiers import POLE_EXCLUSION
 from .errors import PreconditionError
-from .extensions import SEAM_EPS, TAU_SEAM, ExtendedMap, SeamGap, seam_gap
+from .extensions import TAU_SEAM, ExtendedMap, SeamGap, seam_gap
 from .grids import MAX_GRID_POINTS, seam_circle
 from .sphere import is_infinity
 
@@ -162,23 +162,24 @@ def wirtinger(
     h: float,
     exclusions: Sequence[Tuple[complex, float]] = (),
 ) -> Tuple[complex, complex]:
-    """(F_z, F_zbar) by central differences at step h."""
+    """(F_z, F_zbar) by central differences at step h: the stencil of
+    _wirtinger_block at one point."""
     z = complex(z)
     stencil = (z + h, z - h, z + 1j * h, z - 1j * h)
     for center, radius in exclusions:
         for s in stencil:
             if abs(s - center) < radius:
                 raise PreconditionError(f"stencil at {z} touches exclusion {center}")
-    vals = [complex(np.complex128(F(np.complex128(s)))) for s in stencil]
-    d1 = vals[0] - vals[1]
-    d2 = vals[2] - vals[3]
-    fz = (d1 - 1j * d2) / (4.0 * h)
-    fzb = (d1 + 1j * d2) / (4.0 * h)
-    return fz, fzb
+    fz, fzb = _stencil(F, np.array([z]), h)
+    return complex(fz[0]), complex(fzb[0])
 
 
 def _wirtinger_block(F, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    h = H_SCALE * np.maximum(1.0, np.abs(Z))
+    return _stencil(F, Z, H_SCALE * np.maximum(1.0, np.abs(Z)))
+
+
+def _stencil(F, Z: np.ndarray, h) -> Tuple[np.ndarray, np.ndarray]:
+    """(F_z, F_zbar) at each point of Z from the 4-point stencil of step h."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = F(Z + h) - F(Z - h)
         d2 = F(Z + 1j * h) - F(Z - 1j * h)

@@ -2,9 +2,13 @@
 
 The central object is U_f(z) = (z/f(z))^2 f'(z) - 1.  Membership criteria
 bound either |U| itself, |U|/|z|^2, or a first-derivative distance, over the
-disc or the exterior of the closed disc.  check_class sweeps a polar grid,
-adds a chart sample at infinity for exterior criteria, and returns the worst
-sampled value with the point that produced it.
+disc or the exterior of the closed disc.  criterion_field evaluates each
+criterion's functional; check_class sweeps it over a polar grid, adds a
+chart sample at infinity for exterior criteria, and returns the worst
+sampled value with the point that produced it.  seam_bound is the same
+functional's sup over the seam |z| = 1, the bound each theorem's extension
+and Loewner chain claim; exterior_lead checks the normalization at infinity
+that the exterior theorems assume.
 
 Grid verdicts are evidence, not proofs: the sup is over samples and the open
 boundary is approached by the grid, never touched.
@@ -14,12 +18,21 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import R_DISC, GridSpec, argmax_2d, disc_grid, exterior_grid
+from .grids import (
+    R_DISC,
+    GridSpec,
+    argmax_2d,
+    disc_grid,
+    exterior_grid,
+    seam_circle,
+    seam_sup,
+)
 from .mapexpr import (
     Const,
     Div,
@@ -65,15 +78,13 @@ class ClassParams:
     """Parameters of the membership criteria.
 
     lam bounds |U|/|z|^2 on the disc, k bounds the exterior and derivative
-    criteria, p locates the interior pole for the meromorphic class, theta
-    rotates the example family, brown_lambda scales the derivative criterion
-    |lam*f' - 1| <= k.
+    criteria, p locates the interior pole for the meromorphic class,
+    brown_lambda scales the derivative criterion |lam*f' - 1| <= k.
     """
 
     lam: float = 1.0
     k: float = 0.5
     p: float = 0.5
-    theta: float = 0.0
     brown_lambda: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
@@ -83,8 +94,6 @@ class ClassParams:
             raise ValueError("k must lie in (0, 1)")
         if not (0.0 < self.p < 1.0):
             raise ValueError("p must lie strictly inside the disc")
-        if not (0.0 <= self.theta < 2.0 * math.pi):
-            raise ValueError("theta must lie in [0, 2*pi)")
         if self.brown_lambda == 0:
             raise ValueError("brown_lambda must be nonzero")
 
@@ -122,7 +131,7 @@ def u_expr(f: MapExpr) -> MapExpr:
     root = Sub(
         Mul(Pow(Div(Var(), f.root), 2), derive(f).root), Const(1 + 0j)
     )
-    return MapExpr(root, print_expr(root))
+    return MapExpr(root)
 
 
 def u_operator(f: MapExpr, z: ExtComplex) -> ExtComplex:
@@ -231,6 +240,69 @@ def _finite_or_inf(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
+def criterion_field(
+    m: MapExpr,
+    which: str,
+    Z: np.ndarray,
+    params: ClassParams | None = None,
+) -> np.ndarray:
+    """Modulus of the named criterion functional at finite points (IEEE
+    semantics: poles and zeros of the map give inf or nan).
+
+    U_lambda and V_p_lambda give |U_f|/|z|^2, M_Ug |U_g|, M_corollary1
+    |(z/g)^2 g' + 1|, M_krzyz_decay |g' - 1| |z|^2, brown |lambda f' - 1|,
+    krzyz_w |w'| and thm5 |f' + 1|.
+    """
+    params = params or ClassParams()
+    if which not in CLASS_NAMES:
+        raise ValueError(f"unknown criterion {which!r}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if which in ("U_lambda", "V_p_lambda"):
+            return np.abs(u_field(m, Z)) / np.abs(Z) ** 2
+        if which == "M_Ug":
+            return np.abs(u_field(m, Z))
+        Fp = eval_array(derive(m), Z)
+        if which == "M_corollary1":
+            return np.abs((Z / eval_array(m, Z)) ** 2 * Fp + 1.0)
+        if which == "M_krzyz_decay":
+            return np.abs(Fp - 1.0) * np.abs(Z) ** 2
+        if which == "brown":
+            return np.abs(params.brown_lambda * Fp - 1.0)
+        if which == "krzyz_w":
+            return np.abs(Fp)
+        return np.abs(Fp + 1.0)
+
+
+def seam_bound(m: MapExpr, which: str, params: ClassParams | None = None) -> float:
+    """The criterion functional's sup over the seam circle: the dilatation
+    bound the theorem's extension and its Loewner chain claim."""
+    return seam_sup(criterion_field(m, which, seam_circle(), params))
+
+
+def exterior_lead(g: MapExpr, unimodular: bool = False) -> complex:
+    """Leading coefficient c0 of an exterior map g(z) = c0 z + O(1).
+
+    g must have a simple pole at infinity with c0 = 1; with unimodular
+    (Corollary 1) any |c0| = 1 is accepted, with a warning when c0 != 1.
+    """
+    k, c = laurent_at_infinity(g, 2)
+    if k != 1:
+        raise PreconditionError("exterior map needs a simple pole at infinity")
+    c0 = complex(c[0])
+    if unimodular:
+        if abs(abs(c0) - 1.0) > 1e-9:
+            raise PreconditionError(f"leading coefficient must be unimodular, got {c0}")
+        if abs(c0 - 1.0) > 1e-9:
+            warnings.warn(
+                f"exterior map with leading coefficient {c0}; the construction "
+                "and its chain tolerate any unimodular one",
+                stacklevel=3,
+            )
+    elif abs(c0 - 1.0) > 1e-9:
+        raise PreconditionError(f"leading coefficient must be 1, got {c0}")
+    return c0
+
+
 def check_class(
     m: MapExpr,
     which: str,
@@ -248,55 +320,22 @@ def check_class(
     if which not in CLASS_NAMES:
         raise ValueError(f"unknown criterion {which!r}")
 
-    chart_val = None
-    if which in ("U_lambda", "V_p_lambda"):
-        bound = params.lam
-        Z = disc_grid(grid)
-        vals = _finite_or_inf(np.abs(u_field(m, Z)) / np.abs(Z) ** 2)
-        if which == "V_p_lambda":
-            vals = np.where(
-                np.abs(Z - params.p) < POLE_EXCLUSION, -np.inf, vals
-            )
-        else:
-            poles = poles_in_disc(m, R_DISC)
-            if poles:
-                raise PreconditionError(
-                    f"pole at {poles[0]} inside the disc grid; use the "
-                    "V_p_lambda criterion with its exclusion zone"
-                )
-    elif which in ("M_Ug", "M_corollary1", "M_krzyz_decay"):
-        bound = params.k
-        Z = exterior_grid(grid)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if which == "M_Ug":
-                vals = np.abs(u_field(m, Z))
-            elif which == "M_corollary1":
-                G = eval_array(m, Z)
-                Gp = eval_array(derive(m), Z)
-                vals = np.abs((Z / G) ** 2 * Gp + 1.0)
-            else:
-                Gp = eval_array(derive(m), Z)
-                vals = np.abs(Gp - 1.0) * np.abs(Z) ** 2
-        vals = _finite_or_inf(vals)
-        chart_val = _chart_value(m, which)
-    elif which in ("brown", "krzyz_w", "thm5"):
-        bound = params.k
-        Z = disc_grid(grid)
+    exterior = which in ("M_Ug", "M_corollary1", "M_krzyz_decay")
+    bound = params.lam if which in ("U_lambda", "V_p_lambda") else params.k
+    Z = exterior_grid(grid) if exterior else disc_grid(grid)
+    if not exterior and which != "V_p_lambda":
         poles = poles_in_disc(m, R_DISC)
         if poles:
-            raise PreconditionError(
-                f"pole at {poles[0]} inside the disc grid for criterion "
-                f"{which}"
+            hint = (
+                "; use the V_p_lambda criterion with its exclusion zone"
+                if which == "U_lambda"
+                else f" for criterion {which}"
             )
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Fp = eval_array(derive(m), Z)
-            if which == "brown":
-                vals = np.abs(params.brown_lambda * Fp - 1.0)
-            elif which == "krzyz_w":
-                vals = np.abs(Fp)
-            else:
-                vals = np.abs(Fp + 1.0)
-        vals = _finite_or_inf(vals)
+            raise PreconditionError(f"pole at {poles[0]} inside the disc grid{hint}")
+    vals = _finite_or_inf(criterion_field(m, which, Z, params))
+    if which == "V_p_lambda":
+        vals = np.where(np.abs(Z - params.p) < POLE_EXCLUSION, -np.inf, vals)
+    chart_val = _chart_value(m, which) if exterior else None
 
     i, j = argmax_2d(vals)
     worst_value = float(vals[i, j])

@@ -7,10 +7,11 @@ point evaluations realize that identity.  The non-analytic branch is kept as
 an evaluator, never as an expression tree: the grammar is holomorphic-only on
 purpose.
 
-Builders validate their hypotheses (normalization jets, parameter ranges),
-record the dilatation bound the construction is supposed to achieve as
-claimed_k, and verify every declared special point by chart evaluation
-before returning.
+Builders validate their hypotheses (normalization jets, parameter ranges)
+and record the dilatation bound the construction is supposed to achieve as
+claimed_k; for the class theorems that is classifiers.seam_bound of the
+theorem's criterion.  An ExtendedMap verifies every declared special point
+by chart evaluation when it is constructed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .classifiers import phi_from_map, u_field
+from .classifiers import ClassParams, exterior_lead, phi_from_map, seam_bound
 from .errors import PreconditionError
 from .grids import N_SEAM, seam_circle, seam_sup
 from .loewner import (
@@ -44,7 +45,6 @@ from .mapexpr import (
     derive,
     eval_array,
     eval_map,
-    laurent_at_infinity,
     parse_map,
     poles_in_disc,
     print_expr,
@@ -73,9 +73,6 @@ class RadialProfile:
     def psi(self, r):
         return self.M * r - (self.M - 1.0)
 
-    def psi_prime(self, r):
-        return self.M * np.ones_like(np.asarray(r, dtype=float))
-
 
 @dataclass(frozen=True)
 class SeamGap:
@@ -94,7 +91,7 @@ class ExtendedMap:
     the unit circle it lives on.  outer evaluates the complementary branch and
     follows numpy IEEE semantics on arrays.  special_points are (source,
     image) pairs that the assembled map must honor, including the charts at
-    infinity.
+    infinity; construction raises ArithmeticError when one is violated.
     """
 
     inner: MapExpr
@@ -104,6 +101,17 @@ class ExtendedMap:
     outer: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     special_points: Tuple[SpecialPoint, ...] = ()
     claimed_k: float = math.inf
+
+    def __post_init__(self) -> None:
+        # charts at infinity are probed at a large off-axis radius
+        probe = 1e8 * complex(math.cos(0.9), math.sin(0.9))
+        for src, img in self.special_points:
+            got = self.evaluate(probe if is_infinity(src) else src)
+            d = chordal(got, img)
+            if d > 1e-6:
+                raise ArithmeticError(
+                    f"special point {src} -> {img} violated: got {got} (chordal {d:.3e})"
+                )
 
     def evaluate(self, z: ExtComplex) -> ExtComplex:
         if is_infinity(z):
@@ -176,18 +184,6 @@ def seam_gap(em: ExtendedMap, n: int = N_SEAM, eps: float = SEAM_EPS) -> SeamGap
     return SeamGap(sup_abs, sup_chordal, sup_offset, n, eps)
 
 
-def _verify_special(em: ExtendedMap) -> None:
-    # charts at infinity are probed at a large off-axis radius
-    probe = 1e8 * complex(math.cos(0.9), math.sin(0.9))
-    for src, img in em.special_points:
-        got = em.evaluate(probe) if is_infinity(src) else em.evaluate(src)
-        d = chordal(got, img)
-        if d > 1e-6:
-            raise ArithmeticError(
-                f"special point {src} -> {img} violated: got {got} (chordal {d:.3e})"
-            )
-
-
 def _require_normalized_jet(f: MapExpr) -> np.ndarray:
     jet = taylor_jet(f, 3)
     c = np.asarray(jet.coeffs)
@@ -214,7 +210,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
     c = _require_normalized_jet(f)
     a2 = complex(c[2])
     phi = phi_from_map(f)
-    ratio = MapExpr(Div(phi.root, Var()), f"({print_expr(phi.root)})/z")
+    ratio = MapExpr(Div(phi.root, Var()))
     claimed = seam_sup(eval_array(derive(ratio), seam_circle()))
 
     def outer(Z):
@@ -223,7 +219,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
 
     at_inf = INFINITY if abs(a2) <= 1e-12 else -1.0 / a2
     pts = tuple(_disc_pole_points(f)) + ((INFINITY, at_inf),)
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=f,
         inner_region="disc",
         outer_id="phi_reflection",
@@ -232,8 +228,6 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
         special_points=pts,
         claimed_k=claimed,
     )
-    _verify_special(em)
-    return em
 
 
 def ext_thm2(f: MapExpr) -> ExtendedMap:
@@ -243,8 +237,7 @@ def ext_thm2(f: MapExpr) -> ExtendedMap:
         raise PreconditionError(
             f"second coefficient must vanish for this extension, got {c[2]}"
         )
-    recip = MapExpr(Div(Const(1.0 + 0j), f.root), f"1/({print_expr(f.root)})")
-    claimed = seam_sup(u_field(f, seam_circle()))
+    recip = MapExpr(Div(Const(1.0 + 0j), f.root))
 
     def outer(Z):
         # divide through by f(1/z-bar) so reflected poles stay finite
@@ -252,17 +245,15 @@ def ext_thm2(f: MapExpr) -> ExtendedMap:
         return Z / (Z * eval_array(recip, W) - (np.abs(Z) ** 2 - 1.0))
 
     pts = tuple(_disc_pole_points(f)) + ((INFINITY, INFINITY),)
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=f,
         inner_region="disc",
         outer_id="map_reflection",
         outer_params=(),
         outer=outer,
         special_points=pts,
-        claimed_k=claimed,
+        claimed_k=seam_bound(f, "M_Ug"),
     )
-    _verify_special(em)
-    return em
 
 
 def ext_mobius_convex(a2: complex) -> ExtendedMap:
@@ -276,7 +267,7 @@ def ext_mobius_convex(a2: complex) -> ExtendedMap:
         R = np.abs(Z)
         return Z * (R**2 - a2 * Z) / (R - a2 * Z) ** 2
 
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=inner,
         inner_region="disc",
         outer_id="mobius_polar",
@@ -285,8 +276,6 @@ def ext_mobius_convex(a2: complex) -> ExtendedMap:
         special_points=((INFINITY, INFINITY),),
         claimed_k=abs(a2),
     )
-    _verify_special(em)
-    return em
 
 
 def ext_radial_psi(
@@ -332,7 +321,7 @@ def ext_radial_psi(
         params = (("p", repr(float(p))), ("M", repr(float(M))))
     else:
         raise ValueError(f"unknown pole_style {pole_style!r}")
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=inner,
         inner_region="disc",
         outer_id="radial_profile",
@@ -341,8 +330,6 @@ def ext_radial_psi(
         special_points=pts,
         claimed_k=(M * M - 1.0) / (M * M + 1.0),
     )
-    _verify_special(em)
-    return em
 
 
 def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
@@ -352,25 +339,21 @@ def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
         raise PreconditionError("lambda must be nonzero")
     if is_infinity(eval_map(f, 0j)):
         raise PreconditionError("map must be finite at 0")
-    circle = seam_circle()
-    claimed = seam_sup(lam * eval_array(derive(f), circle) - 1.0)
 
     def outer(Z):
         W = 1.0 / np.conj(Z)
         return eval_array(f, W) + (Z - W) / lam
 
     pts = tuple(_disc_pole_points(f)) + ((INFINITY, INFINITY),)
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=f,
         inner_region="disc",
         outer_id="derivative_shift",
         outer_params=(("lambda", repr(lam)),),
         outer=outer,
         special_points=pts,
-        claimed_k=claimed,
+        claimed_k=seam_bound(f, "brown", ClassParams(brown_lambda=lam)),
     )
-    _verify_special(em)
-    return em
 
 
 def ext_thm5(f: MapExpr) -> ExtendedMap:
@@ -381,24 +364,21 @@ def ext_thm5(f: MapExpr) -> ExtendedMap:
     """
     if is_infinity(eval_map(f, 0j)):
         raise PreconditionError("map must be finite at 0")
-    claimed = seam_sup(eval_array(derive(f), seam_circle()) + 1.0)
 
     def outer(Z):
         W = 1.0 / np.conj(Z)
         return eval_array(f, W) - Z + W
 
     pts = tuple(_disc_pole_points(f)) + ((INFINITY, INFINITY),)
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=f,
         inner_region="disc",
         outer_id="reflection_shift",
         outer_params=(),
         outer=outer,
         special_points=pts,
-        claimed_k=claimed,
+        claimed_k=seam_bound(f, "thm5"),
     )
-    _verify_special(em)
-    return em
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +431,7 @@ def _recover_w(g: MapExpr) -> MapExpr:
         root = _poly_node(num)
     else:
         root = Div(_poly_node(num), _poly_node(den))
-    return MapExpr(root, print_expr(root))
+    return MapExpr(root)
 
 
 def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
@@ -465,24 +445,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
     """
     if which not in ("thm4", "cor1", "krzyz", "krzyz_decay"):
         raise ValueError(f"unknown exterior extension {which!r}")
-    k, c = laurent_at_infinity(g, 4)
-    if k != 1:
-        raise PreconditionError("exterior map must grow like zeta at infinity")
-    c0 = complex(c[0])
-    if which == "cor1":
-        if abs(abs(c0) - 1.0) > 1e-9:
-            raise PreconditionError("leading coefficient must be unimodular")
-        if abs(c0 - 1.0) > 1e-9:
-            warnings.warn(
-                f"exterior map with leading coefficient {c0}; the construction "
-                "tolerates any unimodular one",
-                stacklevel=2,
-            )
-    elif abs(c0 - 1.0) > 1e-9:
-        raise PreconditionError(f"leading coefficient must be 1, got {c0}")
-
-    circle = seam_circle()
-    gp = derive(g)
+    exterior_lead(g, unimodular=which == "cor1")
     if which in ("krzyz", "krzyz_decay"):
         w = _recover_w(g)
         w0 = eval_map(w, 0j)
@@ -495,11 +458,10 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
         if which == "krzyz_decay":
             zs = 1.0 / (np.linspace(1.05, 3.0, 48) * seam_circle(48))
             lhs = np.abs(eval_array(derive(w), zs))
-            rhs = np.abs(eval_array(gp, 1.0 / zs) - 1.0) / np.abs(zs) ** 2
+            rhs = np.abs(eval_array(derive(g), 1.0 / zs) - 1.0) / np.abs(zs) ** 2
             if seam_sup(lhs - rhs) > 1e-9 * (1.0 + seam_sup(rhs)):
                 raise ArithmeticError("derivative decay identity violated")
-        wp = derive(w)
-        claimed = seam_sup(eval_array(wp, circle))
+        claimed = seam_bound(w, "krzyz_w")
 
         def outer(Z):
             return Z + eval_array(w, np.conj(Z))
@@ -508,9 +470,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
         outer_id = "conjugate_shift"
     else:
         sign = 1.0 if which == "thm4" else -1.0
-        G = eval_array(g, circle)
-        Gp = eval_array(gp, circle)
-        claimed = seam_sup((circle / G) ** 2 * Gp - sign)
+        claimed = seam_bound(g, "M_Ug" if which == "thm4" else "M_corollary1")
 
         def outer(Z):
             Zb = np.conj(Z)
@@ -519,7 +479,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
 
         params = ()
         outer_id = "inverse_reflection_plus" if which == "thm4" else "inverse_reflection_minus"
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=g,
         inner_region="exterior",
         outer_id=outer_id,
@@ -528,8 +488,6 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
         special_points=((INFINITY, INFINITY),),
         claimed_k=claimed,
     )
-    _verify_special(em)
-    return em
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +512,7 @@ def becker_extend(chain: LoewnerChainSpec, validate: bool = True) -> ExtendedMap
         R = np.abs(Z)
         return chain_eval_array(chain, Z / R, np.log(R))
 
-    em = ExtendedMap(
+    return ExtendedMap(
         inner=inner,
         inner_region="disc",
         outer_id="chain_radial",
@@ -566,5 +524,3 @@ def becker_extend(chain: LoewnerChainSpec, validate: bool = True) -> ExtendedMap
         special_points=((INFINITY, INFINITY),),
         claimed_k=chain.claimed_k,
     )
-    _verify_special(em)
-    return em

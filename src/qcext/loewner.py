@@ -16,7 +16,6 @@ quasiconformal extensibility.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -24,9 +23,9 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .classifiers import TAU_CLASS, u_field
+from .classifiers import TAU_CLASS, exterior_lead, seam_bound, u_field
 from .errors import PreconditionError
-from .grids import GridSpec, _angles, disc_grid, seam_circle, seam_sup
+from .grids import GridSpec, _angles, disc_grid
 from .mapexpr import (
     Add,
     Const,
@@ -38,11 +37,9 @@ from .mapexpr import (
     eval_array,
     eval_map,
     is_normalized,
-    laurent_at_infinity,
     nearest_singularity,
     parse_map,
     poles_in_disc,
-    print_expr,
     rational_form,
     shifted_difference,
     taylor_jet,
@@ -156,16 +153,16 @@ class ChainCheckReport:
 
 def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
     """Validate the base map for the requested kind and derive c_lead and
-    the claimed criterion sup (sampled on a dense seam circle)."""
+    the claimed criterion sup (classifiers.seam_bound of the kind's
+    criterion)."""
     if kind not in CHAIN_KINDS:
         raise ValueError(f"unknown chain kind {kind!r}")
-    circle = seam_circle()
 
     if kind in ("thm2_eq3", "convex_chain"):
         if not is_normalized(base_map):
             raise PreconditionError(f"{kind} needs f(0)=0 and f'(0)=1")
         if kind == "thm2_eq3":
-            claimed = seam_sup(u_field(base_map, circle))
+            claimed = seam_bound(base_map, "M_Ug")
         else:
             claimed = abs(taylor_jet(base_map, 2)[2])
         return LoewnerChainSpec(kind, base_map, 1.0 + 0j, claimed)
@@ -174,8 +171,7 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
         jet = taylor_jet(base_map, 2)
         if abs(jet[0]) > 1e-12:
             raise PreconditionError("thm5_chain needs f(0)=0")
-        claimed = seam_sup(eval_array(derive(base_map), circle) + 1.0)
-        return LoewnerChainSpec(kind, base_map, jet[1], claimed)
+        return LoewnerChainSpec(kind, base_map, jet[1], seam_bound(base_map, "thm5"))
 
     if kind == "krzyz_eq9":
         jet = taylor_jet(base_map, 2)
@@ -185,40 +181,12 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
             )
         if poles_in_disc(base_map, 1.0):
             raise PreconditionError("krzyz_eq9 needs w analytic on the disc")
-        claimed = seam_sup(eval_array(derive(base_map), circle))
-        return LoewnerChainSpec(kind, base_map, 1.0 + 0j, claimed)
+        return LoewnerChainSpec(kind, base_map, 1.0 + 0j, seam_bound(base_map, "krzyz_w"))
 
     # exterior kinds: base_map is g with a simple pole at infinity
-    lead_power, c = laurent_at_infinity(base_map, 2)
-    if lead_power != 1:
-        raise PreconditionError(
-            f"{kind} needs g with a simple pole at infinity"
-        )
-    c0 = complex(c[0])
-    if kind == "exterior_eq7a1":
-        if abs(c0 - 1.0) > 1e-9:
-            raise PreconditionError(
-                f"exterior_eq7a1 needs leading coefficient 1, got {c0}"
-            )
-    else:
-        if abs(abs(c0) - 1.0) > 1e-9:
-            raise PreconditionError(
-                f"cor1_chain needs unimodular leading coefficient, got {c0}"
-            )
-        if abs(c0 - 1.0) > 1e-9:
-            warnings.warn(
-                f"cor1_chain with leading coefficient {c0}: the chain "
-                "normalization is generalized accordingly",
-                stacklevel=2,
-            )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        G = eval_array(base_map, circle)
-        Gp = eval_array(derive(base_map), circle)
-        if kind == "exterior_eq7a1":
-            claimed = seam_sup((circle / G) ** 2 * Gp - 1.0)
-        else:
-            claimed = seam_sup((circle / G) ** 2 * Gp + 1.0)
-    return LoewnerChainSpec(kind, base_map, c0, claimed)
+    c0 = exterior_lead(base_map, unimodular=kind == "cor1_chain")
+    which = "M_Ug" if kind == "exterior_eq7a1" else "M_corollary1"
+    return LoewnerChainSpec(kind, base_map, c0, seam_bound(base_map, which))
 
 
 def time_zero_map(spec: LoewnerChainSpec) -> MapExpr:
@@ -229,11 +197,11 @@ def time_zero_map(spec: LoewnerChainSpec) -> MapExpr:
         root = Div(
             Const(1 + 0j), Add(spec.base_map.root, Div(Const(1 + 0j), Var()))
         )
-        return MapExpr(root, print_expr(root))
+        return MapExpr(root)
     # exterior kinds: f0(z) = 1/g(1/z)
     g_of_inv = compose(spec.base_map, parse_map("1/z"))
     root = Div(Const(1 + 0j), g_of_inv.root)
-    return MapExpr(root, print_expr(root))
+    return MapExpr(root)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -135,10 +135,9 @@ _ONE = Const(1 + 0j)
 
 @dataclass(frozen=True)
 class MapExpr:
-    """A parsed map: syntax tree plus the text it came from."""
+    """A parsed map: its syntax tree."""
 
     root: Node
-    source_text: str
 
     @property
     def canonical(self) -> str:
@@ -286,7 +285,7 @@ class _Parser:
 
 def parse_map(text: str) -> MapExpr:
     """Parse grammar text into a MapExpr.  Raises ParseError with offset."""
-    return MapExpr(_Parser(text).parse(), text)
+    return MapExpr(_Parser(text).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +675,7 @@ def _d(node: Node) -> Node:
 def derive(m: MapExpr) -> MapExpr:
     """Symbolic derivative.  The result round-trips through the grammar."""
     root = _d(m.root)
-    return MapExpr(root, print_expr(root))
+    return MapExpr(root)
 
 
 def compose(m: MapExpr, inner: MapExpr) -> MapExpr:
@@ -702,7 +701,7 @@ def compose(m: MapExpr, inner: MapExpr) -> MapExpr:
         raise TypeError(f"not a node: {node!r}")
 
     root = sub(m.root)
-    return MapExpr(root, print_expr(root))
+    return MapExpr(root)
 
 
 # ---------------------------------------------------------------------------

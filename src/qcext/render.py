@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grids import _angles
+
 MAX_RESOLUTION = 4096
 
 STYLE_NAMES = ("grid", "domaincolor")
@@ -125,7 +127,7 @@ def render_grid_image(
     buf = np.empty((resolution, resolution, 3), dtype=np.uint8)
     buf[:] = BACKGROUND
     n_dense = 8 * resolution
-    theta = np.linspace(0.0, 2.0 * np.pi, n_dense, endpoint=False)
+    theta = _angles(n_dense)
     radii = np.geomspace(0.15, 2.2, n_circles)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in radii:

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .beltrami import DegenerateFieldError, FieldGrid, certify_qc
+from .beltrami import FieldGrid, certify_qc
 from .classifiers import ClassParams, ClassVerdict, check_class, u_jet
-from .corpus import BuiltinExample, get_builtin
+from .corpus import get_builtin
 from .errors import PreconditionError
 from .extensions import (
     ExtendedMap,
@@ -31,9 +31,7 @@ from .extensions import (
 )
 from .grids import GridSpec
 from .loewner import (
-    ChainCheckReport,
     ChainGrid,
-    ChainSingularityError,
     check_theorem_A,
     build_chain,
 )

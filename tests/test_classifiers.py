@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,12 +11,15 @@ from qcext.classifiers import (
     check_class,
     phi_from_map,
     schwarz_equivalence,
+    seam_bound,
     u_field,
     u_jet,
     u_operator,
 )
 from qcext.errors import PreconditionError
+from qcext.extensions import _recover_w, ext_brown, ext_exterior, ext_thm2, ext_thm5
 from qcext.grids import GridSpec
+from qcext.loewner import build_chain
 from qcext.mapexpr import (
     Div,
     EvalError,
@@ -23,7 +28,6 @@ from qcext.mapexpr import (
     derive,
     eval_map,
     parse_map,
-    print_expr,
 )
 from qcext.sphere import INFINITY, is_infinity
 
@@ -34,6 +38,7 @@ IDENTITY = parse_map("z")
 G_U = parse_map("z+0.12/z")
 G_INV = parse_map("z^2/(0.3-z)")
 NEG_DERIV = parse_map("-z+0.3*z^2")
+G_KRZYZ = parse_map("z+0.5/z")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,7 @@ def test_u_equals_phi_minus_z_phi_prime():
 def test_u_equals_minus_z2_times_phi_over_z_derivative():
     for f in (EX2, KOEBE):
         phi = phi_from_map(f)
-        quotient = MapExpr(Div(phi.root, Var()), print_expr(Div(phi.root, Var())))
+        quotient = MapExpr(Div(phi.root, Var()))
         dq = derive(quotient)
         for z in (0.4 + 0.2j, -0.3 + 0.5j, 0.8j):
             lhs = u_operator(f, z)
@@ -325,8 +330,6 @@ def test_params_ranges():
     with pytest.raises(ValueError):
         ClassParams(p=1.0)
     with pytest.raises(ValueError):
-        ClassParams(theta=7.0)
-    with pytest.raises(ValueError):
         ClassParams(brown_lambda=0j)
 
 
@@ -335,3 +338,72 @@ def test_verdict_is_frozen():
     assert isinstance(v, ClassVerdict)
     with pytest.raises(AttributeError):
         v.holds = False
+
+
+# ---------------------------------------------------------------------------
+# one criterion functional per theorem: the builder's and the chain's claimed
+# k are classifiers.seam_bound of the theorem's criterion, bit for bit
+
+
+def _quietly(build, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build(*args)
+
+
+@pytest.mark.parametrize(
+    "builder, chain_kind, chain_map, which",
+    [
+        (lambda: ext_thm2(EX2), "thm2_eq3", EX2, "M_Ug"),
+        (lambda: ext_thm5(NEG_DERIV), "thm5_chain", NEG_DERIV, "thm5"),
+        (lambda: ext_exterior(G_U, "thm4"), "exterior_eq7a1", G_U, "M_Ug"),
+        (lambda: ext_exterior(G_INV, "cor1"), "cor1_chain", G_INV, "M_corollary1"),
+        (lambda: ext_exterior(G_KRZYZ, "krzyz"), "krzyz_eq9", _recover_w(G_KRZYZ), "krzyz_w"),
+    ],
+    ids=["thm2", "thm5", "thm4_eq7a1", "cor1", "krzyz"],
+)
+def test_builder_and_chain_claim_the_criterion_seam_bound(
+    builder, chain_kind, chain_map, which
+):
+    em = _quietly(builder)
+    spec = _quietly(build_chain, chain_kind, chain_map)
+    bound = seam_bound(chain_map, which)
+    assert np.isfinite(bound)
+    assert em.claimed_k == spec.claimed_k == bound
+
+
+def test_brown_claims_its_criterion_seam_bound():
+    f = parse_map("z-0.25*z^2")
+    lam = 1.1 + 0.2j
+    assert ext_brown(f, lam).claimed_k == seam_bound(
+        f, "brown", ClassParams(brown_lambda=lam)
+    )
+
+
+@pytest.mark.parametrize("text", ["2*z+0.1/z", "z^2"])
+def test_exterior_builders_and_chains_reject_bad_leads(text):
+    g = parse_map(text)
+    for which in ("thm4", "cor1", "krzyz", "krzyz_decay"):
+        with pytest.raises(PreconditionError):
+            ext_exterior(g, which)
+    for kind in ("exterior_eq7a1", "cor1_chain"):
+        with pytest.raises(PreconditionError):
+            build_chain(kind, g)
+
+
+def test_unimodular_lead_warns_once_at_the_caller():
+    for build in (
+        lambda: ext_exterior(G_INV, "cor1"),
+        lambda: build_chain("cor1_chain", G_INV),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()
+        lead = [w for w in caught if "leading coefficient" in str(w.message)]
+        assert len(lead) == 1
+        assert lead[0].filename == __file__
+    # a lead of -1 is only allowed for Corollary 1
+    with pytest.raises(PreconditionError):
+        ext_exterior(G_INV, "thm4")
+    with pytest.raises(PreconditionError):
+        build_chain("exterior_eq7a1", G_INV)

@@ -1,10 +1,13 @@
-"""The benchmark tracer names qcext layers by module and attribute path.
+"""Layout checks on the package source.
 
-perfbench/tracing.py wraps each SPANS target at run time; a target that no
-longer resolves would make a traced run fail.  The tracer is loaded from its
-file, so this test needs nothing from perfbench on the import path.
+The benchmark tracer names qcext layers by module and attribute path:
+perfbench/tracing.py wraps each SPANS target at run time, and a target that
+no longer resolves would make a traced run fail.  The tracer is loaded from
+its file, so this test needs nothing from perfbench on the import path.
+Every module but __init__.py uses each name it imports.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -28,3 +31,26 @@ def test_every_traced_span_resolves():
             owner = getattr(owner, cls_name)
             assert meth in vars(owner), name
         assert callable(getattr(owner, meth)), name
+
+
+def test_no_unused_imports_in_the_package():
+    # __init__.py imports names to re-export them, so it is left out
+    src = Path(__file__).resolve().parents[1] / "src" / "qcext"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    imported[bound] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used and name != "annotations"
+        ]
+    assert not unused, unused
