@@ -32,7 +32,6 @@ from .beltrami import (
     VerificationVerdict,
     beltrami_field,
     certify_qc,
-    injectivity_floor,
     wirtinger,
 )
 from .corpus import BUILTINS, BuiltinExample, builtin_ids, get_builtin
@@ -71,7 +70,6 @@ __all__ = [
     "VerificationVerdict",
     "beltrami_field",
     "certify_qc",
-    "injectivity_floor",
     "wirtinger",
     "BUILTINS",
     "BuiltinExample",

@@ -52,16 +52,13 @@ class FieldGrid:
     region picks the side of the seam ("sphere" takes both).  r_bounds
     defaults leave a SEAM_MARGIN cushion so stencils never straddle the
     circle; given bounds are clamped to that cushion, and bounds that leave
-    no radius on a side the region samples are refused.  exclusions are
-    (center, radius) holes, on top of the holes beltrami_field punches
-    around the map's own special points.
+    no radius on a side the region samples are refused.
     """
 
     region: str = "sphere"
     n_r: int = 96
     n_theta: int = 96
     r_bounds: Optional[Tuple[float, float]] = None
-    exclusions: Tuple[Tuple[complex, float], ...] = ()
 
     def __post_init__(self):
         if self.region not in REGIONS:
@@ -207,12 +204,9 @@ def _blocks(Z: np.ndarray) -> List[Tuple[int, int]]:
 # fields
 
 
-def _exclusion_zones(em: ExtendedMap, grid: FieldGrid):
-    zones = list(grid.exclusions)
-    for src, _ in em.special_points:
-        if not is_infinity(src):
-            zones.append((complex(src), POLE_EXCLUSION))
-    return zones
+def _exclusion_zones(em: ExtendedMap):
+    points = [complex(s) for s, _ in em.special_points if not is_infinity(s)]
+    return [(p, POLE_EXCLUSION) for p in points]
 
 
 def _apply_zones(points: np.ndarray, zones) -> np.ndarray:
@@ -269,11 +263,11 @@ def _field_on_points(grid: FieldGrid, F, points: np.ndarray) -> BeltramiField:
 def beltrami_field(em: ExtendedMap, grid: Optional[FieldGrid] = None) -> BeltramiField:
     """Dilatation sweep over the grid, with holes around special points."""
     grid = grid or FieldGrid()
-    points = _apply_zones(grid.points(), _exclusion_zones(em, grid))
+    points = _apply_zones(grid.points(), _exclusion_zones(em))
     return _field_on_points(grid, em.evaluate_array, points)
 
 
-def infinity_chart_field(em: ExtendedMap, n_r: int = 12, n_theta: int = 48) -> BeltramiField:
+def infinity_chart_field(em: ExtendedMap) -> BeltramiField:
     """Dilatation near infinity through the w = 1/z chart.
 
     When the map fixes infinity the dilatation of 1/F(1/w) is measured; both
@@ -284,7 +278,7 @@ def infinity_chart_field(em: ExtendedMap, n_r: int = 12, n_theta: int = 48) -> B
         is_infinity(src) and is_infinity(img) for src, img in em.special_points
     )
     grid = FieldGrid(
-        "disc", n_r, n_theta, r_bounds=(1.0 / (5.0 * CHART_RADIUS), 1.0 / CHART_RADIUS)
+        "disc", 12, 48, r_bounds=(1.0 / (5.0 * CHART_RADIUS), 1.0 / CHART_RADIUS)
     )
     W = grid.points()
     zones = [
@@ -344,36 +338,3 @@ def certify_qc(
         n_points=field.n_points + chart.n_points,
     )
 
-
-def injectivity_floor(
-    em: ExtendedMap, n_pairs: int = 10_000, seed: int = 0, window: float = 3.0
-) -> float:
-    """Fitted c with |F(z1)-F(z2)| >= c |z1-z2| over random sample pairs.
-
-    Returns the smallest observed ratio; a positive value at 10^4 pairs is
-    the sampled stand-in for injectivity on the sphere.
-    """
-    rng = np.random.default_rng(seed)
-    m = 2 * n_pairs
-    r_in = np.sqrt(rng.random(m // 2)) * (1.0 - SEAM_MARGIN)
-    r_out = 1.0 + SEAM_MARGIN + rng.random(m - m // 2) * (window - 1.0)
-    r = np.concatenate([r_in, r_out])
-    th = 2.0 * np.pi * rng.random(m)
-    pts = r * np.exp(1j * th)
-    pts = _apply_zones(pts, _exclusion_zones(em, FieldGrid()))
-    half = pts.size // 2
-    z1, z2 = pts[:half], pts[half : 2 * half]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        F1 = em.evaluate_array(z1)
-        F2 = em.evaluate_array(z2)
-    dz = np.abs(z1 - z2)
-    dF = np.abs(F1 - F2)
-    keep = (
-        (dz > 1e-6)
-        & np.isfinite(dF)
-        & (np.abs(F1) < 1e6)
-        & (np.abs(F2) < 1e6)
-    )
-    if not keep.any():
-        raise PreconditionError("no usable sample pairs")
-    return float(np.min(dF[keep] / dz[keep]))

@@ -109,18 +109,6 @@ class ClassVerdict:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class SchwarzReport:
-    """Both sides of the small-functional equivalence on a grid."""
-
-    equivalent: bool
-    sup_u: float
-    sup_ratio: float
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
 # ---------------------------------------------------------------------------
 # the U operator
 
@@ -236,10 +224,6 @@ def _chart_value(g: MapExpr, which: str) -> float:
 # criterion sweep
 
 
-def _finite_or_inf(vals: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(vals), vals, np.inf)
-
-
 def criterion_field(
     m: MapExpr,
     which: str,
@@ -332,7 +316,8 @@ def check_class(
                 else f" for criterion {which}"
             )
             raise PreconditionError(f"pole at {poles[0]} inside the disc grid{hint}")
-    vals = _finite_or_inf(criterion_field(m, which, Z, params))
+    vals = criterion_field(m, which, Z, params)
+    vals = np.where(np.isfinite(vals), vals, np.inf)
     if which == "V_p_lambda":
         vals = np.where(np.abs(Z - params.p) < POLE_EXCLUSION, -np.inf, vals)
     chart_val = _chart_value(m, which) if exterior else None
@@ -358,18 +343,3 @@ def check_class(
         n_samples=n,
     )
 
-
-def schwarz_equivalence(f: MapExpr, grid: GridSpec | None = None) -> SchwarzReport:
-    """On a grid, |U_f| < 1 forces |U_f| <= |z|^2 once U vanishes to second
-    order at the origin (checked via the jet before sweeping)."""
-    grid = grid or GridSpec()
-    jet = u_jet(f, 3)
-    if abs(jet[0]) > 1e-9 or abs(jet[1]) > 1e-9:
-        raise PreconditionError("U_f must vanish to second order at 0")
-    Z = disc_grid(grid)
-    U = np.abs(u_field(f, Z))
-    U = _finite_or_inf(U)
-    sup_u = float(np.max(U))
-    sup_ratio = float(np.max(U / np.abs(Z) ** 2))
-    equivalent = (sup_u >= 1.0) or (sup_ratio <= 1.0 + TAU_CLASS)
-    return SchwarzReport(equivalent=equivalent, sup_u=sup_u, sup_ratio=sup_ratio)

@@ -157,11 +157,11 @@ class ExtendedMap:
         }
 
 
-def seam_gap(em: ExtendedMap, n: int = N_SEAM, eps: float = SEAM_EPS) -> SeamGap:
+def seam_gap(em: ExtendedMap, n: int = N_SEAM) -> SeamGap:
     """Branch disagreement across |z| = 1.
 
     sup_abs and sup_chordal compare both branches evaluated on the circle
-    itself; sup_offset compares them from eps inside and outside.  The
+    itself; sup_offset compares them from SEAM_EPS inside and outside.  The
     chordal number is the meaningful one near seam poles, where both branches
     blow up together and absolute differences lose their footing.
     """
@@ -174,14 +174,14 @@ def seam_gap(em: ExtendedMap, n: int = N_SEAM, eps: float = SEAM_EPS) -> SeamGap
         diff = np.where(both_bad, 0.0, diff)
         sup_abs = float(np.max(np.where(np.isfinite(diff), diff, np.inf)))
         sup_chordal = float(np.max(chordal_array(inner_on, outer_on)))
-        inward = 1.0 - eps if em.inner_region == "disc" else 1.0 + eps
-        outward = 1.0 + eps if em.inner_region == "disc" else 1.0 - eps
+        inward = 1.0 - SEAM_EPS if em.inner_region == "disc" else 1.0 + SEAM_EPS
+        outward = 1.0 + SEAM_EPS if em.inner_region == "disc" else 1.0 - SEAM_EPS
         off = np.abs(
             eval_array(em.inner, inward * circle) - em.outer(outward * circle)
         )
         off = np.where(np.isfinite(off), off, np.inf)
         sup_offset = float(np.max(off))
-    return SeamGap(sup_abs, sup_chordal, sup_offset, n, eps)
+    return SeamGap(sup_abs, sup_chordal, sup_offset, n, SEAM_EPS)
 
 
 def _require_normalized_jet(f: MapExpr) -> np.ndarray:

@@ -59,16 +59,14 @@ def disc_grid(spec: GridSpec, r_max: float = R_DISC) -> np.ndarray:
     return radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]
 
 
-def exterior_grid(
-    spec: GridSpec, r_lo: float = R_EXT_LO, r_hi: float = R_EXT_HI
-) -> np.ndarray:
-    """Exterior points on geometrically spaced radii in [r_lo, r_hi].
+def exterior_grid(spec: GridSpec) -> np.ndarray:
+    """Exterior points on geometrically spaced radii in [R_EXT_LO, R_EXT_HI].
 
     Geometric spacing concentrates samples near the seam, where the
     exterior functionals peak.  The chart point at infinity is handled
     separately by callers (it has no finite coordinates).
     """
-    radii = np.geomspace(r_lo, r_hi, spec.n_r)
+    radii = np.geomspace(R_EXT_LO, R_EXT_HI, spec.n_r)
     return radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]
 
 

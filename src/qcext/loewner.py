@@ -118,11 +118,15 @@ class LoewnerChainSpec:
 
 @dataclass(frozen=True)
 class ChainGrid:
-    """(z, t) resolution for chain sweeps."""
+    """(z, t) resolution for chain sweeps on t in [0, t_max]."""
 
     z: GridSpec = GridSpec(32, 32)
     n_t: int = 64
     t_max: float = T_MAX
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
 
     def t_samples(self, exclude: Optional[tuple[float, float]] = None) -> np.ndarray:
         ts = np.linspace(0.0, self.t_max, self.n_t)
@@ -488,7 +492,8 @@ def check_theorem_A(
     claimed bound, the PDE residual within tolerance, the growth bound
     holding on the doubled mesh (k0_refined_ok) and subordination.
     growth_ratio and a1_fit_max_err are reported only: the package has no
-    tolerance for either."""
+    tolerance for either.  grid sets the K0 and Herglotz meshes only:
+    D(k) always runs at 32x32 with 16 time samples, the PDE residual at 24x24."""
     grid = grid or ChainGrid()
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)

@@ -818,10 +818,10 @@ def laurent_at_infinity(m: MapExpr | Node, order: int) -> tuple[int, np.ndarray]
     return dp - dq, series
 
 
-def is_normalized(m: MapExpr | Node, tol: float = 1e-12) -> bool:
+def is_normalized(m: MapExpr | Node) -> bool:
     """True when the jet at 0 starts z + O(z^2)."""
     try:
         jet = taylor_jet(m, 2)
     except PoleAtCenterError:
         return False
-    return abs(jet[0]) <= tol and abs(jet[1] - 1.0) <= tol
+    return abs(jet[0]) <= 1e-12 and abs(jet[1] - 1.0) <= 1e-12

@@ -118,8 +118,6 @@ def render_grid_image(
     fn,
     resolution: int = 512,
     window: float = 2.5,
-    n_circles: int = 12,
-    n_rays: int = 16,
 ) -> np.ndarray:
     """Forward-rasterized image of a polar grid: circles |z| = r and radial
     rays, pushed through the map."""
@@ -128,14 +126,14 @@ def render_grid_image(
     buf[:] = BACKGROUND
     n_dense = 8 * resolution
     theta = _angles(n_dense)
-    radii = np.geomspace(0.15, 2.2, n_circles)
+    radii = np.geomspace(0.15, 2.2, 12)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in radii:
             w = np.asarray(fn(r * np.exp(1j * theta)), dtype=np.complex128)
             _paint(buf, w, window, CIRCLE_COLOR)
         s = np.geomspace(0.02, 2.5, n_dense)
-        for j in range(n_rays):
-            ray = s * np.exp(2j * np.pi * j / n_rays)
+        for j in range(16):
+            ray = s * np.exp(2j * np.pi * j / 16)
             w = np.asarray(fn(ray), dtype=np.complex128)
             _paint(buf, w, window, RAY_COLOR)
     return buf

@@ -12,10 +12,10 @@ from qcext.beltrami import (
     beltrami_field,
     certify_qc,
     infinity_chart_field,
-    injectivity_floor,
     _wirtinger_block,
     wirtinger,
 )
+from qcext.classifiers import POLE_EXCLUSION
 from qcext.corpus import get_builtin
 from qcext.errors import PreconditionError
 from qcext.extensions import (
@@ -123,10 +123,13 @@ def test_grid_points_avoid_seam():
 
 
 def test_grid_exclusions_punch_holes():
-    em = ext_mobius_convex(0.5)
-    grid = FieldGrid("disc", 16, 16, exclusions=((0.5 + 0j, 0.3),))
+    # the interior pole 0.5 is a special point; at 64x64 no grid point comes
+    # within POLE_EXCLUSION of it, so a finer grid is needed to test the hole
+    em = ext_radial_psi("vp_pole", 0.5, RadialProfile(2.0))
+    grid = FieldGrid("disc", 96, 96)
+    assert np.any(np.abs(grid.points() - 0.5) < POLE_EXCLUSION)
     field = beltrami_field(em, grid)
-    assert np.all(np.abs(field.points - 0.5) >= 0.3)
+    assert np.all(np.abs(field.points - 0.5) >= POLE_EXCLUSION)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +289,3 @@ def test_verdict_summary_shape():
     assert s["passed"] is True
     for key in ("sup_mu", "claimed_k", "jacobian_min", "seam_sup_chordal", "n_points"):
         assert key in s
-
-
-# ---------------------------------------------------------------------------
-# injectivity sampling
-
-
-@pytest.mark.parametrize(
-    "em",
-    [ext_thm2(EX2), ext_mobius_convex(0.5), ext_exterior(G_KRZYZ, "krzyz")],
-    ids=["thm2", "mobius", "krzyz"],
-)
-def test_injectivity_floor_positive(em):
-    c = injectivity_floor(em, n_pairs=10_000, seed=7)
-    assert c > 1e-9

@@ -10,7 +10,6 @@ from qcext.classifiers import (
     ClassVerdict,
     check_class,
     phi_from_map,
-    schwarz_equivalence,
     seam_bound,
     u_field,
     u_jet,
@@ -285,37 +284,6 @@ def test_class_verdict_monotone_in_bound(lam, bump):
     big = check_class(EX2, "U_lambda", ClassParams(lam=lam2), GridSpec(16, 16))
     if small.holds:
         assert big.holds
-
-
-# ---------------------------------------------------------------------------
-# schwarz equivalence
-
-
-def test_schwarz_example2():
-    r = schwarz_equivalence(EX2)
-    assert bool(r)
-    assert abs(r.sup_ratio - 0.5) < 1e-9
-    assert r.sup_u < 0.5
-
-
-def test_schwarz_identity():
-    r = schwarz_equivalence(IDENTITY)
-    assert bool(r)
-    assert r.sup_u < 1e-12
-
-
-def test_schwarz_koebe_boundary_case():
-    r = schwarz_equivalence(KOEBE)
-    assert bool(r)
-    assert abs(r.sup_ratio - 1.0) < 1e-9
-
-
-def test_schwarz_rejects_wrong_jet():
-    # f = 2z has U(0) = -1/2, so the second-order vanishing fails
-    with pytest.raises(PreconditionError):
-        schwarz_equivalence(parse_map("2*z"))
-    with pytest.raises(PreconditionError):
-        schwarz_equivalence(parse_map("1+z"))
 
 
 # ---------------------------------------------------------------------------

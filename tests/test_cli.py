@@ -101,6 +101,16 @@ def test_chain_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tmax", ["-1", "0", "nan", "inf"])
+def test_chain_refuses_a_horizon_that_samples_no_positive_time(tmax, capsys):
+    code = main(["chain", "--builtin", "example2", "--tmax", tmax])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("qcext: t_max must be finite and positive")
+    assert captured.err.count("\n") == 1
+
+
 def test_render_smoke_file_size(tmp_path):
     target = tmp_path / "id.ppm"
     code = main(

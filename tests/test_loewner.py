@@ -293,6 +293,18 @@ def test_theorem_a_gates_on_subordination(monkeypatch):
     assert not report.passed
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [("z/(1-z)^2", False), ("z+0.5*z^2", False), ("z/(1+0.5*z^2)", True)],
+    ids=["koebe", "z+0.5z^2", "example2"],
+)
+def test_subordination_on_real_thm2_chains(text, expected):
+    # Koebe and z+0.5z^2 are outside the thm2 class, so their chains are not
+    # nested; example2 is inside it
+    spec = build_chain("thm2_eq3", parse_map(text))
+    assert loewner.subordination_ok(spec, working_radius(spec)) is expected
+
+
 def test_krzyz_scaled_limit_is_exact_for_linear_w():
     # e^{-t} f(z,t) = z/(1 + b1 z^2) identically when w = b1 z
     spec = build_chain("krzyz_eq9", W_LIN)
