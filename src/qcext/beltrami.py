@@ -19,7 +19,7 @@ import numpy as np
 from .classifiers import POLE_EXCLUSION
 from .errors import PreconditionError
 from .extensions import TAU_SEAM, ExtendedMap, SeamGap, seam_gap
-from .grids import MAX_GRID_POINTS, seam_circle
+from .grids import MAX_GRID_POINTS, blocks, seam_circle
 from .sphere import is_infinity
 
 TAU_MU = 1e-3
@@ -27,16 +27,6 @@ DEGENERATE_TOL = 1e-12
 H_SCALE = 1e-5
 SEAM_MARGIN = 1e-4
 CHART_RADIUS = 10.0
-# Fields are computed one block of at least BLOCK_POINTS points at a time,
-# and no block crosses the seam |z| = 1.  The floor is 2**14 complex values
-# (256 KiB): numpy rewrites `a * <temporary>` as `temporary *= a` only for
-# arrays that large, and complex multiplication is not bitwise commutative,
-# so a smaller block would round differently from one call on the whole
-# grid.  ExtendedMap.evaluate_array hands each branch the points on its own
-# side, so a block across the seam would give a branch fewer points than its
-# side holds; a block per side keeps every branch call on the same side of
-# the floor as a whole-grid call, and a side below the floor stays whole.
-BLOCK_POINTS = 2**14
 
 REGIONS = ("disc", "exterior_annulus", "sphere")
 
@@ -177,27 +167,25 @@ def _wirtinger_block(F, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _stencil(F, Z: np.ndarray, h) -> Tuple[np.ndarray, np.ndarray]:
     """(F_z, F_zbar) at each point of Z from the 4-point stencil of step h."""
+    # each operand order below is part of the output bits (grids.BLOCK_POINTS)
+    ih = 1j * h
+    h4 = 4.0 * h
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = F(Z + h) - F(Z - h)
-        d2 = F(Z + 1j * h) - F(Z - 1j * h)
-        fz = (d1 - 1j * d2) / (4.0 * h)
-        fzb = (d1 + 1j * d2) / (4.0 * h)
+        d2 = F(Z + ih) - F(Z - ih)
+        jd2 = 1j * d2
+        fz = (d1 - jd2) / h4
+        fzb = (d1 + jd2) / h4
     return fz, fzb
 
 
 def _blocks(Z: np.ndarray) -> List[Tuple[int, int]]:
-    """(start, stop) bounds that cut each side of |z| = 1 into stencil blocks."""
+    """(start, stop) bounds of the stencil blocks: each run of points on one
+    side of |z| = 1 is cut by grids.blocks, so no block crosses the seam."""
     inside = np.abs(Z) < 1.0
     cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), Z.size]
-    bounds = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi == lo:
-            continue
-        n = max(1, (hi - lo) // BLOCK_POINTS)
-        q, r = divmod(hi - lo, n)
-        edges = [lo + i * q + min(i, r) for i in range(n + 1)]
-        bounds.extend(zip(edges[:-1], edges[1:]))
-    return bounds
+    runs = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    return [b for lo, hi in runs for b in blocks(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +213,20 @@ def _field_on_points(grid: FieldGrid, F, points: np.ndarray) -> BeltramiField:
     def reduce_block(bounds):
         lo, hi = bounds
         fz, fzb = _wirtinger_block(F, points[lo:hi])
-        degenerate = ~(np.isfinite(fz) & np.isfinite(fzb)) | (np.abs(fz) < DEGENERATE_TOL)
+        abs_fz = np.abs(fz)
+        degenerate = ~(np.isfinite(fz) & np.isfinite(fzb)) | (abs_fz < DEGENERATE_TOL)
+        n_deg = int(degenerate.sum())
+        num, den = fzb, fz
+        if n_deg:
+            num, den = np.where(degenerate, np.nan, fzb), np.where(degenerate, 1.0, fz)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(
-                np.where(degenerate, np.nan, fzb),
-                np.where(degenerate, 1.0, fz),
-                out=mu[lo:hi],
-            )
-            np.subtract(np.abs(fz) ** 2, np.abs(fzb) ** 2, out=jac[lo:hi])
-        absmu = np.where(degenerate, -np.inf, np.abs(mu[lo:hi]))
+            np.divide(num, den, out=mu[lo:hi])
+            np.subtract(abs_fz**2, np.abs(fzb) ** 2, out=jac[lo:hi])
+        absmu = np.abs(mu[lo:hi])
+        if n_deg:
+            absmu = np.where(degenerate, -np.inf, absmu)
         i = int(np.argmax(absmu))
-        return int(degenerate.sum()), lo + i, float(absmu[i])
+        return n_deg, lo + i, float(absmu[i])
 
     parts = [reduce_block(b) for b in _blocks(points)]
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifiers import ClassParams, exterior_lead, phi_from_map, seam_bound
 from .errors import PreconditionError
-from .grids import N_SEAM, seam_circle, seam_sup
+from .grids import N_SEAM, blocks, seam_circle, seam_sup
 from .loewner import (
     LoewnerChainSpec,
     chain_eval_array,
@@ -133,17 +133,34 @@ class ExtendedMap:
         return v
 
     def evaluate_array(self, Z: np.ndarray) -> np.ndarray:
+        """The map at every point of Z, with IEEE semantics.
+
+        Points on one side of the seam go to that side's branch in the
+        blocks of grids.blocks; BLOCK_POINTS there says why this gives the
+        same bits as one call per side.  When every point lies on one side,
+        that branch gets them all in one call, and the result may be a
+        read-only view, as eval_array's is.
+        """
         Z = np.asarray(Z, dtype=np.complex128)
-        r = np.abs(Z)
+        flat = Z.reshape(-1)
+        r = np.abs(flat)
         use_inner = r <= 1.0 if self.inner_region == "disc" else r >= 1.0
-        out = np.empty(Z.shape, dtype=np.complex128)
+        n_inner = int(np.count_nonzero(use_inner))
+
+        def inner(W):
+            return eval_array(self.inner, W)
+
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if use_inner.any():
-                out[use_inner] = eval_array(self.inner, Z[use_inner])
-            rest = ~use_inner
-            if rest.any():
-                out[rest] = self.outer(Z[rest])
-        return out
+            if n_inner in (0, flat.size):
+                branch = inner if n_inner else self.outer
+                return np.asarray(branch(flat), dtype=np.complex128).reshape(Z.shape)
+            out = np.empty(flat.shape, dtype=np.complex128)
+            for side, branch in ((use_inner, inner), (~use_inner, self.outer)):
+                index = np.flatnonzero(side)
+                for lo, hi in blocks(0, index.size):
+                    pick = index[lo:hi]
+                    out[pick] = branch(flat[pick])
+        return out.reshape(Z.shape)
 
     def summary(self) -> dict:
         return {

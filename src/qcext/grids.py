@@ -22,6 +22,18 @@ N_SEAM = 4096
 
 # hard cap so a typo in a flag cannot allocate tens of gigabytes
 MAX_GRID_POINTS = 1 << 24
+# Large evaluations run one block of at least BLOCK_POINTS points at a time,
+# and no block crosses the seam |z| = 1.  The floor is 2**14 complex values
+# (256 KiB): numpy rewrites `a * <temporary>` as `temporary *= a` only for
+# arrays that large, and complex multiplication is not bitwise commutative,
+# so a smaller block would round differently from one call on the whole
+# side.  ExtendedMap.evaluate_array hands each branch the points on its own
+# side, so a block across the seam would give a branch fewer points than its
+# side holds; blocks per side keep every branch call on the same side of the
+# floor as a whole-side call, and a side below the floor stays whole.  The
+# colour stage of render_domaincolor is elementwise, so its blocks only
+# borrow the size, to keep their temporaries small.
+BLOCK_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,17 @@ def seam_sup(values: np.ndarray) -> float:
     if bad <= max(2, vals.size // 500):
         return float(np.max(vals[finite]))
     return math.inf
+
+
+def blocks(lo: int, hi: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds that cut the run [lo, hi) into (hi - lo) //
+    BLOCK_POINTS near-equal blocks; a run shorter than 2 * BLOCK_POINTS stays
+    whole, so every block holds at least BLOCK_POINTS points unless the run
+    itself is shorter."""
+    n = max(1, (hi - lo) // BLOCK_POINTS)
+    q, r = divmod(hi - lo, n)
+    edges = [lo + i * q + min(i, r) for i in range(n + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def argmax_2d(values: np.ndarray) -> tuple[int, int]:

@@ -16,6 +16,7 @@ quasiconformal extensibility.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -47,6 +48,10 @@ from .mapexpr import (
 from .sphere import ExtComplex, is_infinity, safe_div
 
 T_MAX = 5.0
+# chains scale by e^(+-t) and their ratios by e^(+-2t); past this horizon
+# e^(2t) overflows a double, and the chain formulas turn into 0/0 that reads
+# as a singularity of the chain
+T_MAX_LIMIT = math.log(sys.float_info.max) / 2.0
 TAU_PDE = 1e-6
 H_T = 1e-4
 H_Z = 1e-5
@@ -127,6 +132,11 @@ class ChainGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
+        if self.t_max >= T_MAX_LIMIT:
+            raise ValueError(
+                f"t_max must be below {T_MAX_LIMIT:.6g}, where e^(2t) "
+                f"overflows a double, got {self.t_max}"
+            )
 
     def t_samples(self, exclude: Optional[tuple[float, float]] = None) -> np.ndarray:
         ts = np.linspace(0.0, self.t_max, self.n_t)

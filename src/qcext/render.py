@@ -10,13 +10,19 @@ sextant.  Each of the four is quantised once to uint8, and every pixel then
 copies its (r, g, b) bytes from those planes through a fixed 6x3 pick table.
 Quantising works element by element, so this gives the same bytes as picking
 float channels first and quantising the (H, W, 3) stack.
+
+The map is called once on the whole pixel window (ExtendedMap.evaluate_array
+blocks its own work).  The colour stage then runs over blocks of about
+grids.BLOCK_POINTS pixels in row order, 32 rows at 512 px, each written into
+one preallocated (H, W, 3) array.  Every step of it is elementwise, so the
+blocks change no byte; the image goldens still fix them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import _angles
+from .grids import _angles, blocks
 
 MAX_RESOLUTION = 4096
 
@@ -49,8 +55,9 @@ def _to_bytes(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
 
 
-def _hsv_bytes(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(..., 3) uint8 RGB for hue h in turns, saturation s and value v."""
+def _hsv_bytes(h: np.ndarray, s: np.ndarray, v: np.ndarray, rgb: np.ndarray) -> None:
+    """Write the uint8 RGB of hue h in turns, saturation s and value v into
+    rgb, an array of shape h.shape + (3,)."""
     # h - floor(h) is h mod 1 bit for bit, -0.0 included, and cheaper
     h = (h - np.floor(h)) * 6.0
     sextant = np.floor(h)
@@ -64,12 +71,10 @@ def _hsv_bytes(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
         _to_bytes(v * (1.0 - s * f)),
         _to_bytes(v * (1.0 - s * (1.0 - f))),
     )
-    rgb = np.empty(v.shape + (3,), dtype=np.uint8)
     for k, picks in enumerate(_SEXTANT_PICKS):
         here = i == k
         for channel, plane in enumerate(picks):
             np.copyto(rgb[..., channel], planes[plane], where=here)
-    return rgb
 
 
 def _pixel_window(resolution: int, window: float):
@@ -86,22 +91,28 @@ def render_domaincolor(fn, resolution: int = 512, window: float = 2.5) -> np.nda
     and nonfinite values white."""
     Z = _pixel_window(resolution, window)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        W = np.asarray(fn(Z), dtype=np.complex128)
-        hue = np.angle(W) / (2.0 * np.pi)
-        mag = np.abs(W)
-        pos = np.isfinite(mag) & (mag > 0)
-        octave = np.log2(mag[pos])
-        band = np.zeros_like(mag)
-        band[pos] = octave - np.floor(octave)
-        val = 0.55 + 0.45 * band
-        tiny = mag < 1e-8
-        huge = ~np.isfinite(mag) | (mag > 1e8)
-        val[tiny] = 0.05
-        val[huge] = 1.0
-        # nonfinite moduli count as huge, so they get saturation 0 as well
-        sat = np.where(huge | tiny, 0.0, 0.9)
-        hue[~np.isfinite(hue)] = 0.0
-    return _hsv_bytes(hue, sat, val)
+        W = np.asarray(fn(Z), dtype=np.complex128).reshape(-1)
+        rgb = np.empty(Z.shape + (3,), dtype=np.uint8)
+        pixels = rgb.reshape(-1, 3)
+        # elementwise, so blocks of any size give the same bytes (module doc)
+        for lo, hi in blocks(0, W.size):
+            w = W[lo:hi]
+            hue = np.angle(w) / (2.0 * np.pi)
+            mag = np.abs(w)
+            pos = np.isfinite(mag) & (mag > 0)
+            octave = np.log2(mag[pos])
+            band = np.zeros_like(mag)
+            band[pos] = octave - np.floor(octave)
+            val = 0.55 + 0.45 * band
+            tiny = mag < 1e-8
+            huge = ~np.isfinite(mag) | (mag > 1e8)
+            val[tiny] = 0.05
+            val[huge] = 1.0
+            # nonfinite moduli count as huge, so they get saturation 0 as well
+            sat = np.where(huge | tiny, 0.0, 0.9)
+            hue[~np.isfinite(hue)] = 0.0
+            _hsv_bytes(hue, sat, val, pixels[lo:hi])
+    return rgb
 
 
 def _paint(buf: np.ndarray, w: np.ndarray, window: float, color) -> None:

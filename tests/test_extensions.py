@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qcext.corpus import builtin_ids, get_builtin
 from qcext.errors import PreconditionError
 from qcext.extensions import (
     ExtendedMap,
@@ -19,7 +21,9 @@ from qcext.extensions import (
     seam_gap,
 )
 from qcext.loewner import LoewnerChainSpec, build_chain
-from qcext.mapexpr import eval_map, parse_map, print_expr
+from qcext.mapexpr import eval_array, eval_map, parse_map, print_expr
+from qcext.render import _pixel_window
+from qcext.report import build_extension
 from qcext.sphere import INFINITY, chordal, is_infinity
 
 EX1 = parse_map("z/((1-z)*(1-0.5*z))")
@@ -271,6 +275,43 @@ def test_evaluate_array_matches_scalar(built_corpus):
                 assert not np.isfinite(v) or abs(v) > 1e12, name
             else:
                 assert chordal(complex(v), want) < 1e-9, (name, z)
+
+
+def _builtin_extension(bid):
+    ex = get_builtin(bid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_extension(ex.theorem, ex.map(), ex.params())
+
+
+def _whole_side_reference(em, Z):
+    """One call per side of the seam, on every point of that side."""
+    r = np.abs(Z)
+    side = r <= 1.0 if em.inner_region == "disc" else r >= 1.0
+    out = np.empty(Z.shape, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out[side] = eval_array(em.inner, Z[side])
+        out[~side] = em.outer(Z[~side])
+    return out
+
+
+@pytest.mark.parametrize("bid", builtin_ids())
+def test_blocked_evaluation_is_bit_identical_to_whole_sides(bid):
+    em = _builtin_extension(bid)
+    Z = _pixel_window(512, 2.5)
+    one = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    seam = np.array([1.0, -1.0, 1j, -1j, *one], dtype=np.complex128)
+    pts = np.concatenate([Z.ravel(), seam])
+    # each side holds more than 2 * 2**14 points, so each is cut in blocks
+    disc = np.abs(pts) <= 1.0
+    assert min(np.count_nonzero(disc), np.count_nonzero(~disc)) > 2**15
+    got = em.evaluate_array(pts)
+    assert got.tobytes() == _whole_side_reference(em, pts).tobytes()
+    # one side only: its branch takes the whole array in one call
+    one_side = pts[disc] if em.inner_region == "disc" else pts[np.abs(pts) >= 1.0]
+    want = _whole_side_reference(em, one_side)
+    assert em.evaluate_array(one_side).tobytes() == want.tobytes()
+    assert em.evaluate_array(Z).shape == Z.shape
 
 
 def test_special_point_verification_catches_lies():

@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from qcext.cli import main
+from qcext.corpus import builtin_ids, get_builtin
 from qcext.extensions import ext_mobius_convex
 from qcext.mapexpr import eval_array, parse_map
 from qcext.render import (
@@ -15,6 +17,7 @@ from qcext.render import (
     render_grid_image,
     render_map,
 )
+from qcext.report import build_extension
 
 KOEBE = parse_map("z/(1-z)^2")
 
@@ -168,3 +171,20 @@ def test_verify_image_golden(builtin, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
     digest = hashlib.sha256(image.read_bytes()).hexdigest()
     assert digest == GOLDEN_VERIFY_IMAGE[builtin]
+
+
+@pytest.mark.parametrize("bid", builtin_ids())
+def test_extension_render_memory_peak(bid):
+    # the map and colour stages run in blocks; with whole-window
+    # temporaries this render peaked at 33.8-36.7 MiB
+    ex = get_builtin(bid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        em = build_extension(ex.theorem, ex.map(), ex.params())
+    tracemalloc.start()
+    try:
+        render_map(em.evaluate_array, "domaincolor", 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
