@@ -5,9 +5,10 @@ The parent revision is exported with ``git archive`` into a temporary
 directory.  For each workload and pair, ``python3 perfbench/run.py
 --workload W --seed S --trace 0`` runs once in the parent export and once in
 the working tree, at the run length BENCHMARK.json sets, for ten pairs per
-workload; the side that goes first swaps from pair to pair.  The table holds
-every run's end-to-end metrics, each side's median and quartiles per metric,
-and the number of pairs the change won (ties count for neither side).
+workload at seeds 701 to 710; the side that goes first swaps from pair to
+pair.  The table holds every run's end-to-end metrics, each side's median and
+quartiles per metric, and the number of pairs the change won (ties count for
+neither side).
 
 Run from the root of a source checkout:
 
@@ -28,6 +29,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # a gain counts when the change wins 9 of at least 10 alternating pairs
 PAIRS = 10
+SEEDS = range(701, 701 + PAIRS)
 
 
 def export(rev: str, dest: str) -> str:
@@ -91,7 +93,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="revision to compare against")
     ap.add_argument("--out", required=True, help="pair table to write, BENCH_<n>.json")
-    ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -108,8 +109,7 @@ def main(argv=None) -> int:
         roots = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
         for workload in (w["name"] for w in bench["workloads"]):
             runs = {"parent": [], "change": []}
-            for i in range(PAIRS):
-                seed = args.first_seed + i
+            for i, seed in enumerate(SEEDS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = run_once(roots[side], workload, seed, seconds)

@@ -16,7 +16,6 @@ quasiconformal extensibility.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -48,10 +47,12 @@ from .mapexpr import (
 from .sphere import ExtComplex, is_infinity, safe_div
 
 T_MAX = 5.0
-# chains scale by e^(+-t) and their ratios by e^(+-2t); past this horizon
-# e^(2t) overflows a double, and the chain formulas turn into 0/0 that reads
-# as a singularity of the chain
-T_MAX_LIMIT = math.log(sys.float_info.max) / 2.0
+# chains scale by e^(+-t) and their ratios by e^(+-2t), which leave the
+# normal doubles near t = 354.  The chain formulas overflow sooner on grid
+# points close to 0, and the overflow reads as a singularity of the chain.
+# The corpus's cor1 chain overflows from t = 347.7 on the default grid, and
+# from t = 335.2 at r0 / MAX_GRID_POINTS, the smallest radius a disc grid has.
+T_MAX_LIMIT = 300.0
 TAU_PDE = 1e-6
 H_T = 1e-4
 H_Z = 1e-5
@@ -134,8 +135,8 @@ class ChainGrid:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.t_max >= T_MAX_LIMIT:
             raise ValueError(
-                f"t_max must be below {T_MAX_LIMIT:.6g}, where e^(2t) "
-                f"overflows a double, got {self.t_max}"
+                f"t_max must be below {T_MAX_LIMIT:g}, short of where "
+                f"e^(+-2t) leaves double range, got {self.t_max}"
             )
 
     def t_samples(self, exclude: Optional[tuple[float, float]] = None) -> np.ndarray:

@@ -114,14 +114,14 @@ def test_chain_refuses_a_horizon_that_samples_no_positive_time(tmax, capsys):
 
 @pytest.mark.parametrize("tmax", ["1e6", "400"])
 def test_chain_refuses_a_horizon_past_double_range(tmax, capsys):
-    # e^(2t) overflows a double from t = 354.9 on; the chain is not singular
+    # past T_MAX_LIMIT the chain formulas overflow; the chain is not singular
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["chain", "--builtin", "example2", "--tmax", tmax])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("qcext: t_max must be below 354.891")
+    assert captured.err.startswith("qcext: t_max must be below 300,")
     assert captured.err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qcext import loewner
 from qcext.errors import PreconditionError
+from qcext.grids import MAX_GRID_POINTS, GridSpec, disc_grid
 from qcext.loewner import (
     ChainCheckReport,
     ChainGrid,
     ChainSingularityError,
     LoewnerChainSpec,
+    T_MAX_LIMIT,
     build_chain,
     chain_eval,
     chain_eval_array,
@@ -142,6 +145,32 @@ def test_chain_singularity_surfaces():
     bad = LoewnerChainSpec("thm2_eq3", parse_map("2*z"), 1.0 + 0j, 0.5)
     with pytest.raises(ChainSingularityError):
         chain_eval(bad, 0.5 + 0j, 0.5 * math.log(2.0))
+
+
+@pytest.mark.parametrize(
+    "kind,base",
+    [
+        ("thm2_eq3", EX2),
+        ("thm2_eq3", IDENTITY),
+        ("thm5_chain", NEG_DERIV),
+        ("krzyz_eq9", W_LIN),
+        ("convex_chain", MOBIUS),
+        ("exterior_eq7a1", G_U),
+        ("cor1_chain", G_INV),
+    ],
+)
+def test_chain_stays_finite_just_below_the_horizon_limit(kind, base):
+    # no overflow that would read as a singularity, on the doubled default
+    # mesh and at the smallest radius any disc grid has
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        spec = build_chain(kind, base)
+    r0 = working_radius(spec)
+    Z = np.append(disc_grid(GridSpec(64, 64), r_max=r0), r0 / MAX_GRID_POINTS)
+    t = float(np.nextafter(T_MAX_LIMIT, 0.0))
+    assert np.all(np.isfinite(chain_eval_array(spec, Z, t)))
+    a1 = complex(spec.a1(t))
+    assert math.isfinite(abs(a1)) and a1 != 0
 
 
 # ---------------------------------------------------------------------------
