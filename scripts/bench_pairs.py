@@ -4,11 +4,13 @@
 The parent revision is exported with ``git archive`` into a temporary
 directory.  For each workload and pair, ``python3 perfbench/run.py
 --workload W --seed S --trace 0`` runs once in the parent export and once in
-the working tree, at the run length BENCHMARK.json sets, for ten pairs per
-workload at seeds 701 to 710; the side that goes first swaps from pair to
-pair.  The table holds every run's end-to-end metrics, each side's median and
-quartiles per metric, and the number of pairs the change won (ties count for
-neither side).
+a copy of the working tree, at the run length BENCHMARK.json sets, for ten
+pairs per workload at seeds 701 to 710; the side that goes first swaps from
+pair to pair.  The copy leaves out ``.git`` and every ``__pycache__``, so
+neither side starts with compiled bytecode that the other lacks; that would
+lower its ``setup_s`` and ``peak_rss_mb``.  The table holds every run's
+end-to-end metrics, each side's median and quartiles per metric, and the
+number of pairs the change won (ties count for neither side).
 
 Run from the root of a source checkout:
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -106,7 +109,8 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         table["parent"] = export(args.parent, tmp)
-        roots = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
+        shutil.copytree(ROOT, roots["change"], ignore=shutil.ignore_patterns(".git", "__pycache__"))
         for workload in (w["name"] for w in bench["workloads"]):
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(SEEDS):

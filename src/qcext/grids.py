@@ -33,7 +33,15 @@ MAX_GRID_POINTS = 1 << 24
 # floor as a whole-side call, and a side below the floor stays whole.  The
 # colour stage of render_domaincolor is elementwise, so its blocks only
 # borrow the size, to keep their temporaries small.
+#
+# The floor cuts both ways: stencil blocks stay at or above it, and the
+# Loewner chain checks stay below it.  They stack their t samples as rows
+# against the flattened z grid, at most CHAIN_BATCH_POINTS points per call.
+# A batch of several rows and the one-t calls it stands for all sit below
+# the floor, so they round alike; a grid larger than one batch gets one t
+# per call.
 BLOCK_POINTS = 2**14
+CHAIN_BATCH_POINTS = 2**12
 
 
 @dataclass(frozen=True)

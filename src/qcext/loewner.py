@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .classifiers import TAU_CLASS, exterior_lead, seam_bound, u_field
 from .errors import PreconditionError
-from .grids import GridSpec, _angles, disc_grid
+from .grids import CHAIN_BATCH_POINTS, GridSpec, _angles, disc_grid
 from .mapexpr import (
     Add,
     Const,
@@ -56,6 +56,16 @@ T_MAX_LIMIT = 300.0
 TAU_PDE = 1e-6
 H_T = 1e-4
 H_Z = 1e-5
+# check_dk's pointwise gap between the thm2_eq3 ratio and its reduction
+TAU_THM2_REDUCTION = 1e-10
+# build_chain: |f(0)| allowed for thm5_chain and |w(0)| for krzyz_eq9
+TAU_F0 = 1e-12
+TAU_W0 = 1e-9
+# chain_eval: an infinite value closer to the seam than this is a boundary
+# value, not a singularity
+TAU_SEAM_EDGE = 1e-12
+# a1_zero_window: |a1| at most this times max(1, |c_lead|) counts as a zero
+TAU_A1_ZERO = 1e-2
 
 CHAIN_KINDS = (
     "thm2_eq3",
@@ -114,7 +124,7 @@ class LoewnerChainSpec:
         ts = np.linspace(0.0, t_max, 2001)
         mags = np.abs(self.a1(ts))
         i = int(np.argmin(mags))
-        if mags[i] > 1e-2 * max(1.0, abs(self.c_lead)):
+        if mags[i] > TAU_A1_ZERO * max(1.0, abs(self.c_lead)):
             return None
         t0 = float(ts[i])
         if 0.3 < t0 < 0.4:
@@ -184,13 +194,13 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
 
     if kind == "thm5_chain":
         jet = taylor_jet(base_map, 2)
-        if abs(jet[0]) > 1e-12:
+        if abs(jet[0]) > TAU_F0:
             raise PreconditionError("thm5_chain needs f(0)=0")
         return LoewnerChainSpec(kind, base_map, jet[1], seam_bound(base_map, "thm5"))
 
     if kind == "krzyz_eq9":
         jet = taylor_jet(base_map, 2)
-        if abs(jet[0]) > 1e-9:
+        if abs(jet[0]) > TAU_W0:
             raise PreconditionError(
                 f"krzyz_eq9 needs w(0)=0, got w(0)={jet[0]}"
             )
@@ -285,7 +295,7 @@ def chain_eval(spec: LoewnerChainSpec, z: ExtComplex, t: float) -> ExtComplex:
                 val = inv - s * z
     except ArithmeticError as exc:
         raise ChainSingularityError(z, t) from exc
-    if is_infinity(val) and abs(z) < 1.0 - 1e-12:
+    if is_infinity(val) and abs(z) < 1.0 - TAU_SEAM_EDGE:
         raise ChainSingularityError(z, t)
     return val
 
@@ -387,6 +397,15 @@ def working_radius(spec: LoewnerChainSpec) -> float:
     return float(min(max(0.5 * d, 0.05), 0.85))
 
 
+def _t_batches(ts: np.ndarray, n_points: int):
+    """ts as (rows, 1) columns to broadcast against a flattened grid of
+    n_points, with rows * n_points <= CHAIN_BATCH_POINTS (one row at least).
+    Callers reduce each row on its own, in t order, as a one-t loop would."""
+    rows = max(1, CHAIN_BATCH_POINTS // n_points)
+    for i in range(0, len(ts), rows):
+        yield ts[i : i + rows, None]
+
+
 def dk_radius_field(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
     p = herglotz_array(spec, Z, T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -395,27 +414,32 @@ def dk_radius_field(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
 
 
 def check_dk(spec: LoewnerChainSpec, grid: ChainGrid | None = None) -> float:
-    """Sup over the (z,t) grid of |(p-1)/(p+1)|.
+    """Sup over the (z,t) grid of |(p-1)/(p+1)|, evaluated for t in
+    batches (_t_batches) and reduced per t in t order.
 
     For the thm2_eq3 kind the ratio admits an exact algebraic reduction to
     the U functional of the scaled map; the reduction is verified pointwise
-    to 1e-10 while sweeping, and a breach raises ArithmeticError.
+    to TAU_THM2_REDUCTION while sweeping, and the first t that breaches it
+    raises ArithmeticError.
     """
     grid = grid or ChainGrid(GridSpec(32, 32), 16)
-    Z = disc_grid(grid.z)
+    Z = disc_grid(grid.z).ravel()
     sup = 0.0
-    for t in grid.t_samples():
-        vals = dk_radius_field(spec, Z, t)
-        sup = max(sup, float(np.max(vals)))
-        if spec.kind == "thm2_eq3":
-            em = math.exp(-t)
-            expected = math.exp(2 * t) * np.abs(
-                u_field(spec.base_map, em * Z)
-            )
-            finite = np.isfinite(vals) & np.isfinite(expected)
+    for T in _t_batches(grid.t_samples(), Z.size):
+        vals = dk_radius_field(spec, Z, T)
+        for row in vals:
+            sup = max(sup, float(np.max(row)))
+        if spec.kind != "thm2_eq3":
+            continue
+        ts = T[:, 0]
+        em = np.array([[math.exp(-t)] for t in ts])
+        scale = np.array([[math.exp(2 * t)] for t in ts])
+        expected = scale * np.abs(u_field(spec.base_map, em * Z))
+        for t, row, want in zip(ts, vals, expected):
+            finite = np.isfinite(row) & np.isfinite(want)
             if np.any(finite):
-                resid = float(np.max(np.abs(vals[finite] - expected[finite])))
-                if resid > 1e-10:
+                resid = float(np.max(np.abs(row[finite] - want[finite])))
+                if resid > TAU_THM2_REDUCTION:
                     raise ArithmeticError(
                         f"thm2 ratio reduction off by {resid} at t={t}"
                     )
@@ -474,24 +498,26 @@ def pde_residual_sup(
     spec: LoewnerChainSpec, r0: float, grid: ChainGrid | None = None
 ) -> float:
     """Sup of |df/dt - z f' p| on the r0-disc, with df/dt and f' by central
-    differences and p in closed form."""
+    differences and p in closed form, evaluated for t in batches
+    (_t_batches)."""
     grid = grid or ChainGrid(GridSpec(24, 24), 64)
-    Z = disc_grid(grid.z, r_max=r0)
+    Z = disc_grid(grid.z, r_max=r0).ravel()
     window = spec.a1_zero_window(grid.t_max)
     sup = 0.0
-    for t in grid.t_samples(window):
+    for T in _t_batches(grid.t_samples(window), Z.size):
         ft = (
-            chain_eval_array(spec, Z, t + H_T)
-            - chain_eval_array(spec, Z, t - H_T)
+            chain_eval_array(spec, Z, T + H_T)
+            - chain_eval_array(spec, Z, T - H_T)
         ) / (2.0 * H_T)
         fz = (
-            chain_eval_array(spec, Z + H_Z, t)
-            - chain_eval_array(spec, Z - H_Z, t)
+            chain_eval_array(spec, Z + H_Z, T)
+            - chain_eval_array(spec, Z - H_Z, T)
         ) / (2.0 * H_Z)
-        p = herglotz_array(spec, Z, t)
+        p = herglotz_array(spec, Z, T)
         resid = np.abs(ft - Z * fz * p)
         resid = np.where(np.isfinite(resid), resid, np.inf)
-        sup = max(sup, float(np.max(resid)))
+        for row in resid:
+            sup = max(sup, float(np.max(row)))
     return sup
 
 
@@ -504,47 +530,53 @@ def check_theorem_A(
     holding on the doubled mesh (k0_refined_ok) and subordination.
     growth_ratio and a1_fit_max_err are reported only: the package has no
     tolerance for either.  grid sets the K0 and Herglotz meshes only:
-    D(k) always runs at 32x32 with 16 time samples, the PDE residual at 24x24."""
+    D(k) always runs at 32x32 with 16 time samples, the PDE residual at 24x24.
+
+    Every sweep evaluates t in batches (_t_batches) and reduces each t on its
+    own, in t order, so a non-finite K0 sample raises ChainSingularityError
+    at the first (t, z) a one-t loop would meet."""
     grid = grid or ChainGrid()
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
     ts = grid.t_samples(window)
 
     # growth constant on the working disc, normalized by a1
-    Zr = disc_grid(grid.z, r_max=r0)
+    Zr = disc_grid(grid.z, r_max=r0).ravel()
     K0 = 0.0
     K0_half = 0.0
-    for t in ts:
-        vals = np.abs(chain_eval_array(spec, Zr, t))
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals.ravel())))
-            raise ChainSingularityError(complex(Zr.ravel()[bad]), float(t))
-        ratio = float(np.max(vals)) / abs(complex(spec.a1(t)))
-        K0 = max(K0, ratio)
-        if t <= grid.t_max / 2:
-            K0_half = max(K0_half, ratio)
+    for T in _t_batches(ts, Zr.size):
+        vals = np.abs(chain_eval_array(spec, Zr, T))
+        for t, row in zip(T[:, 0], vals):
+            if not np.all(np.isfinite(row)):
+                bad = int(np.argmax(~np.isfinite(row)))
+                raise ChainSingularityError(complex(Zr[bad]), float(t))
+            ratio = float(np.max(row)) / abs(complex(spec.a1(t)))
+            K0 = max(K0, ratio)
+            if t <= grid.t_max / 2:
+                K0_half = max(K0_half, ratio)
     growth_ratio = K0 / K0_half if K0_half > 0 else math.inf
     K0_claimed = 1.05 * K0
 
     # re-verify the fitted bound on a doubled mesh
     fine = GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta)
-    Zf = disc_grid(fine, r_max=r0)
+    Zf = disc_grid(fine, r_max=r0).ravel()
     tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples(window)
     k0_refined_ok = True
-    for t in tf:
-        vals = np.abs(chain_eval_array(spec, Zf, t))
-        bound = K0_claimed * abs(complex(spec.a1(t)))
-        if not np.all(vals <= bound):
+    for T in _t_batches(tf, Zf.size):
+        vals = np.abs(chain_eval_array(spec, Zf, T))
+        bounds = [K0_claimed * abs(complex(spec.a1(t))) for t in T[:, 0]]
+        if not all(np.all(row <= b) for row, b in zip(vals, bounds)):
             k0_refined_ok = False
             break
 
     # Herglotz positivity on the full disc
-    Zd = disc_grid(grid.z)
+    Zd = disc_grid(grid.z).ravel()
     min_re = math.inf
-    for t in ts:
-        p = herglotz_array(spec, Zd, t)
+    for T in _t_batches(ts, Zd.size):
+        p = herglotz_array(spec, Zd, T)
         re = np.where(np.isfinite(p.real), p.real, -np.inf)
-        min_re = min(min_re, float(np.min(re)))
+        for row in re:
+            min_re = min(min_re, float(np.min(row)))
 
     dk_sup = check_dk(spec, ChainGrid(GridSpec(32, 32), 16, grid.t_max))
     resid = pde_residual_sup(spec, r0, ChainGrid(GridSpec(24, 24), grid.n_t, grid.t_max))

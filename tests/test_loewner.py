@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from qcext import loewner
+from qcext.classifiers import TAU_CLASS, u_field
+from qcext.cli import main
+from qcext.corpus import builtin_ids, get_builtin
 from qcext.errors import PreconditionError
-from qcext.grids import MAX_GRID_POINTS, GridSpec, disc_grid
+from qcext.grids import CHAIN_BATCH_POINTS, MAX_GRID_POINTS, GridSpec, disc_grid
 from qcext.loewner import (
     ChainCheckReport,
     ChainGrid,
@@ -24,6 +29,7 @@ from qcext.loewner import (
     working_radius,
 )
 from qcext.mapexpr import eval_map, parse_map
+from qcext.report import CHAIN_KINDS_SHORT
 from qcext.sphere import INFINITY
 
 EX2 = parse_map("z/(1+0.5*z^2)")
@@ -375,3 +381,207 @@ def test_chain_grid_excludes_window():
     ts = grid.t_samples((0.3, 0.4))
     assert np.all((ts < 0.3) | (ts > 0.4))
     assert len(ts) < grid.n_t
+
+
+# ---------------------------------------------------------------------------
+# batched t sweeps against the one-t loops they replaced
+
+
+CORPUS_CHAINS = [
+    (bid, CHAIN_KINDS_SHORT[get_builtin(bid).chain], get_builtin(bid).chain_text())
+    for bid in builtin_ids()
+    if get_builtin(bid).chain
+]
+
+
+def _corpus_spec(kind, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build_chain(kind, parse_map(text))
+
+
+def _one_t_dk(spec, grid):
+    Z = disc_grid(grid.z)
+    sup = 0.0
+    for t in grid.t_samples():
+        vals = loewner.dk_radius_field(spec, Z, t)
+        sup = max(sup, float(np.max(vals)))
+        if spec.kind == "thm2_eq3":
+            em = math.exp(-t)
+            expected = math.exp(2 * t) * np.abs(u_field(spec.base_map, em * Z))
+            finite = np.isfinite(vals) & np.isfinite(expected)
+            if np.any(finite):
+                resid = float(np.max(np.abs(vals[finite] - expected[finite])))
+                if resid > 1e-10:
+                    raise ArithmeticError(
+                        f"thm2 ratio reduction off by {resid} at t={t}"
+                    )
+    return sup
+
+
+def _one_t_pde(spec, r0, grid):
+    Z = disc_grid(grid.z, r_max=r0)
+    sup = 0.0
+    for t in grid.t_samples(spec.a1_zero_window(grid.t_max)):
+        ft = (
+            loewner.chain_eval_array(spec, Z, t + loewner.H_T)
+            - loewner.chain_eval_array(spec, Z, t - loewner.H_T)
+        ) / (2.0 * loewner.H_T)
+        fz = (
+            loewner.chain_eval_array(spec, Z + loewner.H_Z, t)
+            - loewner.chain_eval_array(spec, Z - loewner.H_Z, t)
+        ) / (2.0 * loewner.H_Z)
+        p = herglotz_array(spec, Z, t)
+        resid = np.abs(ft - Z * fz * p)
+        resid = np.where(np.isfinite(resid), resid, np.inf)
+        sup = max(sup, float(np.max(resid)))
+    return sup
+
+
+def _one_t_report(spec, grid):
+    """check_theorem_A with one chain call per t, as before the batches."""
+    r0 = working_radius(spec)
+    window = spec.a1_zero_window(grid.t_max)
+    ts = grid.t_samples(window)
+
+    Zr = disc_grid(grid.z, r_max=r0)
+    K0 = K0_half = 0.0
+    for t in ts:
+        vals = np.abs(loewner.chain_eval_array(spec, Zr, t))
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argmax(~np.isfinite(vals.ravel())))
+            raise ChainSingularityError(complex(Zr.ravel()[bad]), float(t))
+        ratio = float(np.max(vals)) / abs(complex(spec.a1(t)))
+        K0 = max(K0, ratio)
+        if t <= grid.t_max / 2:
+            K0_half = max(K0_half, ratio)
+    growth_ratio = K0 / K0_half if K0_half > 0 else math.inf
+    K0_claimed = 1.05 * K0
+
+    Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=r0)
+    k0_refined_ok = True
+    for t in ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples(window):
+        vals = np.abs(loewner.chain_eval_array(spec, Zf, t))
+        if not np.all(vals <= K0_claimed * abs(complex(spec.a1(t)))):
+            k0_refined_ok = False
+            break
+
+    Zd = disc_grid(grid.z)
+    min_re = math.inf
+    for t in ts:
+        p = herglotz_array(spec, Zd, t)
+        re = np.where(np.isfinite(p.real), p.real, -np.inf)
+        min_re = min(min_re, float(np.min(re)))
+
+    dk_sup = _one_t_dk(spec, ChainGrid(GridSpec(32, 32), 16, grid.t_max))
+    resid = _one_t_pde(spec, r0, ChainGrid(GridSpec(24, 24), grid.n_t, grid.t_max))
+    subordinate = loewner.subordination_ok(spec, r0)
+    passed = (
+        min_re > 0.0
+        and dk_sup <= spec.claimed_k + TAU_CLASS
+        and resid <= loewner.TAU_PDE
+        and k0_refined_ok
+        and subordinate
+    )
+    return ChainCheckReport(
+        r0=r0,
+        K0=K0_claimed,
+        herglotz_min_re=min_re,
+        dk_radius_sup=dk_sup,
+        pde_residual_sup=resid,
+        passed=bool(passed),
+        claimed_k=spec.claimed_k,
+        k0_refined_ok=k0_refined_ok,
+        growth_ratio=growth_ratio,
+        a1_fit_max_err=loewner.a1_fit_error(spec, r0),
+        subordination_ok=subordinate,
+    )
+
+
+def _outcome(check, spec, grid):
+    """Every report field exactly (floats by float.hex), or the exception."""
+    try:
+        report = check(spec, grid)
+    except ArithmeticError as exc:
+        return (type(exc).__name__, str(exc))
+    return {
+        f.name: (v.hex() if isinstance(v, float) else v)
+        for f in dataclasses.fields(report)
+        for v in [getattr(report, f.name)]
+    }
+
+
+@pytest.mark.parametrize(
+    "z, t_max",
+    [(GridSpec(32, 32), 5.0), (GridSpec(16, 16), 5.0), (GridSpec(32, 32), 0.2), (GridSpec(32, 32), 2.0)],
+    ids=["32x32-t5", "16x16-t5", "32x32-t0.2", "32x32-t2"],
+)
+@pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
+def test_batched_checks_match_one_t_loops(bid, kind, text, z, t_max):
+    spec = _corpus_spec(kind, text)
+    grid = ChainGrid(z, 64, t_max)
+    assert _outcome(check_theorem_A, spec, grid) == _outcome(_one_t_report, spec, grid)
+
+
+@pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
+def test_chain_evaluators_take_t_as_rows(bid, kind, text):
+    # a (rows, 1) T against a flat grid gives each t's one-t call, byte for byte
+    spec = _corpus_spec(kind, text)
+    Z = disc_grid(GridSpec(32, 32), r_max=working_radius(spec)).ravel()
+    T = np.linspace(0.0, 5.0, 4)[:, None]
+    for evaluate in (chain_eval_array, herglotz_array):
+        rows = evaluate(spec, Z, T)
+        for t, row in zip(T[:, 0], rows):
+            assert row.tobytes() == evaluate(spec, Z, t).tobytes()
+
+
+def test_thm2_reduction_failure_message_is_unchanged(capsys):
+    code = main(["chain", "--builtin", "identity", "--tmax", "8"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "qcext: numerical failure: thm2 ratio reduction off by "
+        "1.3932635860332543e-10 at t=6.4\n"
+    )
+
+
+def test_singularity_inside_a_batch_is_the_first_one_t_failure(monkeypatch):
+    spec = build_chain("thm2_eq3", EX2)
+    grid = ChainGrid()
+    Zr = disc_grid(grid.z, r_max=working_radius(spec)).ravel()
+    ts = grid.t_samples(spec.a1_zero_window(grid.t_max))
+    rows = CHAIN_BATCH_POINTS // Zr.size
+    assert rows == 4  # t index 5 sits mid-way through the second batch
+    # the first failure in (t, z) order, then a later z at the same t and an
+    # earlier z at a later t of the same batch
+    bad = [(ts[5], Zr[517]), (ts[5], Zr[900]), (ts[6], Zr[3])]
+    real = loewner.chain_eval_array
+
+    def poisoned(spec, Z, T):
+        out = real(spec, Z, T)
+        hit = np.zeros(out.shape, dtype=bool)
+        for t, z in bad:
+            hit |= (np.asarray(T) == t) & (np.asarray(Z) == z)
+        return np.where(hit, complex(np.nan, np.nan), out)
+
+    monkeypatch.setattr(loewner, "chain_eval_array", poisoned)
+    with pytest.raises(ChainSingularityError) as batched:
+        check_theorem_A(spec, grid)
+    with pytest.raises(ChainSingularityError) as one_t:
+        _one_t_report(spec, grid)
+    assert (batched.value.z, batched.value.t) == (one_t.value.z, one_t.value.t)
+    assert (batched.value.z, batched.value.t) == (complex(Zr[517]), float(ts[5]))
+
+
+@pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
+def test_theorem_a_memory_peak(bid, kind, text):
+    # one t per call peaked at 0.31-0.49 MiB and bounded batches at
+    # 0.77-0.89 MiB; broadcasting every t at once peaked at 17-50 MiB
+    spec = _corpus_spec(kind, text)
+    check_theorem_A(spec)  # warm the per-map caches
+    tracemalloc.start()
+    try:
+        check_theorem_A(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
