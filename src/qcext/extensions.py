@@ -27,6 +27,7 @@ from .classifiers import ClassParams, exterior_lead, phi_from_map, seam_bound
 from .errors import PreconditionError
 from .grids import N_SEAM, blocks, seam_circle, seam_sup
 from .loewner import (
+    TAU_W0,
     LoewnerChainSpec,
     chain_eval_array,
     check_theorem_A,
@@ -56,6 +57,23 @@ from .sphere import ExtComplex, INFINITY, _point_json, chordal, chordal_array, i
 
 TAU_SEAM = 1e-9
 SEAM_EPS = 1e-6
+# ExtendedMap: chordal distance allowed between a special point's image and
+# the assembled map's value there
+TAU_SPECIAL_POINT = 1e-6
+# _require_normalized_jet and ext_thm2: |f(0)|, |f'(0) - 1| and |a2|
+TAU_JET = 1e-9
+# _disc_pole_points: poles this far outside the seam still count
+TAU_DISC_POLE = 1e-9
+# ext_huang_owa: |a2| at most this sends infinity to infinity
+TAU_A2_ZERO = 1e-12
+# ext_radial_psi: ||a2| - 1| allowed for unimodular_a2
+TAU_UNIMODULAR = 1e-9
+# _recover_w: denominator coefficients at most this times the coefficient
+# scale are rounding dust and get zeroed
+TAU_COEFF_DUST = 1e-12
+# ext_exterior: krzyz_decay's gap in the decay identity, relative to
+# 1 + sup |rhs|
+TAU_DECAY = 1e-9
 
 SpecialPoint = Tuple[ExtComplex, ExtComplex]
 
@@ -108,7 +126,7 @@ class ExtendedMap:
         for src, img in self.special_points:
             got = self.evaluate(probe if is_infinity(src) else src)
             d = chordal(got, img)
-            if d > 1e-6:
+            if d > TAU_SPECIAL_POINT:
                 raise ArithmeticError(
                     f"special point {src} -> {img} violated: got {got} (chordal {d:.3e})"
                 )
@@ -204,13 +222,13 @@ def seam_gap(em: ExtendedMap, n: int = N_SEAM) -> SeamGap:
 def _require_normalized_jet(f: MapExpr) -> np.ndarray:
     jet = taylor_jet(f, 3)
     c = np.asarray(jet.coeffs)
-    if abs(c[0]) > 1e-9 or abs(c[1] - 1.0) > 1e-9:
+    if abs(c[0]) > TAU_JET or abs(c[1] - 1.0) > TAU_JET:
         raise PreconditionError("map must be normalized: f(0)=0, f'(0)=1")
     return c
 
 
 def _disc_pole_points(f: MapExpr) -> list[SpecialPoint]:
-    return [(p, INFINITY) for p in poles_in_disc(f, 1.0 + 1e-9)]
+    return [(p, INFINITY) for p in poles_in_disc(f, 1.0 + TAU_DISC_POLE)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +252,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
         W = 1.0 / np.conj(Z)
         return Z / (1.0 - a2 * Z + np.abs(Z) ** 2 * eval_array(phi, W))
 
-    at_inf = INFINITY if abs(a2) <= 1e-12 else -1.0 / a2
+    at_inf = INFINITY if abs(a2) <= TAU_A2_ZERO else -1.0 / a2
     pts = tuple(_disc_pole_points(f)) + ((INFINITY, at_inf),)
     return ExtendedMap(
         inner=f,
@@ -250,7 +268,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
 def ext_thm2(f: MapExpr) -> ExtendedMap:
     """Extend by z f(1/z-bar) / (z - (|z|^2 - 1) f(1/z-bar)); needs a2 = 0."""
     c = _require_normalized_jet(f)
-    if abs(c[2]) > 1e-9:
+    if abs(c[2]) > TAU_JET:
         raise PreconditionError(
             f"second coefficient must vanish for this extension, got {c[2]}"
         )
@@ -309,7 +327,7 @@ def ext_radial_psi(
     M = profile.M
     if pole_style == "unimodular_a2":
         a2 = complex(pole_param)
-        if abs(abs(a2) - 1.0) > 1e-9:
+        if abs(abs(a2) - 1.0) > TAU_UNIMODULAR:
             raise PreconditionError("unimodular_a2 needs |a2| = 1")
         inner = parse_map(f"z/(1-{const_text(a2)}*z)")
 
@@ -433,7 +451,7 @@ def _recover_w(g: MapExpr) -> MapExpr:
     den = np.zeros(len(Q) + 1, dtype=np.complex128)
     den[1:] = Q  # z * Q
     scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
-    den[np.abs(den) <= 1e-12 * scale] = 0.0
+    den[np.abs(den) <= TAU_COEFF_DUST * scale] = 0.0
     v = 0
     while v < len(num) and v < len(den) and num[v] == 0 and den[v] == 0:
         v += 1
@@ -466,7 +484,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
     if which in ("krzyz", "krzyz_decay"):
         w = _recover_w(g)
         w0 = eval_map(w, 0j)
-        if is_infinity(w0) or abs(w0) > 1e-9:
+        if is_infinity(w0) or abs(w0) > TAU_W0:
             warnings.warn(
                 f"w(0) = {w0} is nonzero: the glued map need not extend the "
                 "chain construction (formula-only mode)",
@@ -476,7 +494,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
             zs = 1.0 / (np.linspace(1.05, 3.0, 48) * seam_circle(48))
             lhs = np.abs(eval_array(derive(w), zs))
             rhs = np.abs(eval_array(derive(g), 1.0 / zs) - 1.0) / np.abs(zs) ** 2
-            if seam_sup(lhs - rhs) > 1e-9 * (1.0 + seam_sup(rhs)):
+            if seam_sup(lhs - rhs) > TAU_DECAY * (1.0 + seam_sup(rhs)):
                 raise ArithmeticError("derivative decay identity violated")
         claimed = seam_bound(w, "krzyz_w")
 

@@ -39,7 +39,11 @@ MAX_GRID_POINTS = 1 << 24
 # against the flattened z grid, at most CHAIN_BATCH_POINTS points per call.
 # A batch of several rows and the one-t calls it stands for all sit below
 # the floor, so they round alike; a grid larger than one batch gets one t
-# per call.
+# per call.  The batch stays at 2**12 points (64 KiB of complex values)
+# because a 2**13-point batch makes 128 KiB temporaries, which reach glibc's
+# default 128 KiB mmap and trim thresholds: without a mallopt setting each
+# batch is handed back to the kernel and faulted in again, and the chain
+# checks ran slower than at 2**12.
 BLOCK_POINTS = 2**14
 CHAIN_BATCH_POINTS = 2**12
 

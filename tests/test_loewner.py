@@ -438,6 +438,33 @@ def _one_t_pde(spec, r0, grid):
     return sup
 
 
+def _winding_number(polygon, q):
+    rel = polygon - q
+    args = np.angle(rel)
+    d = np.diff(np.concatenate([args, args[:1]]))
+    d = (d + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(float(np.sum(d)) / (2.0 * np.pi)))
+
+
+def _subordination_curves(spec, r0):
+    """(small, big) per time pair (s, t) of subordination_ok."""
+    r = 0.9 * r0
+    inner = r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    curve = r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False))
+    for s, t in ((0.0, 1.0), (1.0, 2.5)):
+        yield loewner.chain_eval_array(spec, inner, s), loewner.chain_eval_array(spec, curve, t)
+
+
+def _one_t_subordination(spec, r0):
+    for small, big in _subordination_curves(spec, r0):
+        if not (np.all(np.isfinite(small)) and np.all(np.isfinite(big))):
+            return False
+        for q in small:
+            if _winding_number(big, complex(q)) != 1:
+                return False
+    return True
+
+
 def _one_t_report(spec, grid):
     """check_theorem_A with one chain call per t, as before the batches."""
     r0 = working_radius(spec)
@@ -475,7 +502,7 @@ def _one_t_report(spec, grid):
 
     dk_sup = _one_t_dk(spec, ChainGrid(GridSpec(32, 32), 16, grid.t_max))
     resid = _one_t_pde(spec, r0, ChainGrid(GridSpec(24, 24), grid.n_t, grid.t_max))
-    subordinate = loewner.subordination_ok(spec, r0)
+    subordinate = _one_t_subordination(spec, r0)
     passed = (
         min_re > 0.0
         and dk_sup <= spec.claimed_k + TAU_CLASS
@@ -535,6 +562,19 @@ def test_chain_evaluators_take_t_as_rows(bid, kind, text):
             assert row.tobytes() == evaluate(spec, Z, t).tobytes()
 
 
+@pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
+def test_chain_evaluators_pin_the_origin(bid, kind, text):
+    # f(0, t) = 0 and p(0, t) = 1 wherever z = 0 sits in the grid; the other
+    # points are the values computed without it
+    spec = _corpus_spec(kind, text)
+    Z = np.array([0.0, 0.3 + 0.1j, 0.0, -0.2j])
+    T = np.array([[0.0], [1.5]])
+    for evaluate, at_zero in ((chain_eval_array, 0j), (herglotz_array, 1.0 + 0j)):
+        vals = evaluate(spec, Z, T)
+        assert vals[:, [0, 2]].tolist() == [[at_zero, at_zero]] * 2
+        assert vals[:, [1, 3]].tobytes() == evaluate(spec, Z[[1, 3]], T).tobytes()
+
+
 def test_thm2_reduction_failure_message_is_unchanged(capsys):
     code = main(["chain", "--builtin", "identity", "--tmax", "8"])
     assert code == 3
@@ -572,10 +612,80 @@ def test_singularity_inside_a_batch_is_the_first_one_t_failure(monkeypatch):
     assert (batched.value.z, batched.value.t) == (complex(Zr[517]), float(ts[5]))
 
 
+@pytest.mark.parametrize("failure", ["nan", "just-above"])
+def test_refined_k0_fails_on_the_second_row_of_a_batch(monkeypatch, failure):
+    spec = build_chain("thm2_eq3", EX2)
+    grid = ChainGrid()
+    K0_claimed = check_theorem_A(spec, grid).K0
+    r0 = working_radius(spec)
+    Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=r0).ravel()
+    tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples()
+    # the refined K0 grid fills a whole batch; two of its rows per batch
+    # still sit below the elision floor, so the report must not change
+    assert CHAIN_BATCH_POINTS // Zf.size == 1
+    monkeypatch.setattr(loewner, "CHAIN_BATCH_POINTS", 2 * Zf.size)
+    t_bad, z_bad = tf[5], Zf[1234]  # second row of the third batch
+    if failure == "nan":
+        value = complex(np.nan, np.nan)
+    else:
+        value = complex(np.nextafter(K0_claimed * abs(complex(spec.a1(t_bad))), np.inf))
+    real = loewner.chain_eval_array
+
+    def poisoned(spec, Z, T):
+        out = real(spec, Z, T)
+        if np.size(Z) != Zf.size:  # only the refined K0 grid
+            return out
+        hit = (np.asarray(T) == t_bad) & (np.asarray(Z) == z_bad)
+        return np.where(hit, value, out)
+
+    monkeypatch.setattr(loewner, "chain_eval_array", poisoned)
+    batched = _outcome(check_theorem_A, spec, grid)
+    assert batched["k0_refined_ok"] is False
+    assert batched["passed"] is False
+    assert batched == _outcome(_one_t_report, spec, grid)
+
+
+@pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
+def test_winding_numbers_match_the_per_point_loop(bid, kind, text):
+    spec = _corpus_spec(kind, text)
+    for small, big in _subordination_curves(spec, working_radius(spec)):
+        # one point far outside the curve, winding 0
+        qs = np.append(small, 10.0 * np.max(np.abs(big)))
+        twice = np.concatenate([big, big])
+        for polygon, winds in ((big, 1), (twice, 2)):
+            want = [_winding_number(polygon, complex(q)) for q in qs]
+            assert want == [winds] * small.size + [0]
+            assert loewner._winding_numbers(polygon, qs).tolist() == want
+
+
+def test_subordination_fails_on_a_row_inside_a_batch(monkeypatch):
+    spec = build_chain("thm2_eq3", EX2)
+    r0 = working_radius(spec)
+    assert loewner.subordination_ok(spec, r0)
+    rows = CHAIN_BATCH_POINTS // 1024
+    assert rows > 2
+    bad = rows + rows // 2  # mid-way through the second batch
+    real = loewner.chain_eval_array
+
+    def moved_out(spec, Z, T):
+        out = real(spec, Z, T)
+        if np.size(Z) == 64 and T == 1.0:
+            # query point bad of the second pair lies outside the curve
+            out = out.copy()
+            out[bad] = 100.0
+        return out
+
+    monkeypatch.setattr(loewner, "chain_eval_array", moved_out)
+    assert not loewner.subordination_ok(spec, r0)
+    assert not _one_t_subordination(spec, r0)
+
+
 @pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
 def test_theorem_a_memory_peak(bid, kind, text):
-    # one t per call peaked at 0.31-0.49 MiB and bounded batches at
-    # 0.77-0.89 MiB; broadcasting every t at once peaked at 17-50 MiB
+    # one t per call peaked at 0.31-0.49 MiB, batches of 2^12 points at
+    # 0.77-0.89 MiB and batches of 2^13 points at 1.42-1.66 MiB; 3 rows of
+    # 4096 points peaked at 2.17-2.18 MiB and broadcasting every t at once
+    # at 17-50 MiB
     spec = _corpus_spec(kind, text)
     check_theorem_A(spec)  # warm the per-map caches
     tracemalloc.start()
