@@ -100,15 +100,6 @@ class BeltramiField:
     def n_points(self) -> int:
         return int(self.points.size)
 
-    def summary(self) -> dict:
-        return {
-            "sup_mu": self.sup_mu,
-            "argmax_point": [self.argmax_point.real, self.argmax_point.imag],
-            "degenerate_count": self.degenerate_count,
-            "n_points": self.n_points,
-            "mesh": f"{self.grid.n_r}x{self.grid.n_theta} {self.grid.region}",
-        }
-
 
 @dataclass(frozen=True)
 class VerificationVerdict:

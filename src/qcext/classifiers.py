@@ -34,6 +34,7 @@ from .grids import (
     seam_sup,
 )
 from .mapexpr import (
+    TAU_NORMALIZED,
     Const,
     Div,
     EvalError,
@@ -60,6 +61,12 @@ from .sphere import INFINITY, ExtComplex, is_infinity
 
 TAU_CLASS = 1e-9
 POLE_EXCLUSION = 0.02
+# phi_from_map: phi(0) and phi'(0) allowed from the shifted series
+TAU_PHI_ORDER = 1e-9
+# _chart_value: |c0 - 1| allowed for the krzyz chart's g = c0 z + ...
+TAU_CHART_LEAD = 1e-12
+# exterior_lead: |c0 - 1|, or ||c0| - 1| for a unimodular c0
+TAU_EXTERIOR_LEAD = 1e-9
 
 CLASS_NAMES = (
     "U_lambda",
@@ -147,10 +154,7 @@ def u_operator(f: MapExpr, z: ExtComplex) -> ExtComplex:
 
 def u_field(f: MapExpr, Z: np.ndarray) -> np.ndarray:
     """Vectorized (z/f)^2 f' - 1 on a finite grid (IEEE semantics)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        F = eval_array(f, Z)
-        Fp = eval_array(derive(f), Z)
-        return (Z / F) ** 2 * Fp - 1.0
+    return eval_array(u_expr(f), Z)
 
 
 def u_jet(f: MapExpr, order: int = 4) -> SeriesJet:
@@ -179,7 +183,7 @@ def phi_from_map(f: MapExpr) -> MapExpr:
     Satisfies phi(0) = phi'(0) = 0 and U_f = phi - z*phi'.
     """
     jet = taylor_jet(f, 2)
-    if abs(jet[0]) > 1e-12 or abs(jet[1] - 1.0) > 1e-12:
+    if abs(jet[0]) > TAU_NORMALIZED or abs(jet[1] - 1.0) > TAU_NORMALIZED:
         raise PreconditionError(
             "phi_from_map needs f(0)=0 and f'(0)=1, got "
             f"c0={jet[0]}, c1={jet[1]}"
@@ -192,7 +196,7 @@ def phi_from_map(f: MapExpr) -> MapExpr:
     zf = series_inv(np.array(jf.coeffs[1:], dtype=complex))
     phi0 = zf[0] - 1.0
     phi1 = zf[1] + a2
-    if abs(phi0) > 1e-9 or abs(phi1) > 1e-9:
+    if abs(phi0) > TAU_PHI_ORDER or abs(phi1) > TAU_PHI_ORDER:
         raise PreconditionError("phi does not vanish to second order at 0")
     return phi
 
@@ -214,7 +218,7 @@ def _chart_value(g: MapExpr, which: str) -> float:
     if which == "M_krzyz_decay":
         # (g' - 1) * z^2 tends to -c2 when g = z + c1 + c2/z + ...
         k, c = laurent_at_infinity(g, 4)
-        if k != 1 or abs(c[0] - 1.0) > 1e-12:
+        if k != 1 or abs(c[0] - 1.0) > TAU_CHART_LEAD:
             return math.inf
         return abs(c[2])
     raise ValueError(f"no chart sample for criterion {which}")
@@ -274,15 +278,15 @@ def exterior_lead(g: MapExpr, unimodular: bool = False) -> complex:
         raise PreconditionError("exterior map needs a simple pole at infinity")
     c0 = complex(c[0])
     if unimodular:
-        if abs(abs(c0) - 1.0) > 1e-9:
+        if abs(abs(c0) - 1.0) > TAU_EXTERIOR_LEAD:
             raise PreconditionError(f"leading coefficient must be unimodular, got {c0}")
-        if abs(c0 - 1.0) > 1e-9:
+        if abs(c0 - 1.0) > TAU_EXTERIOR_LEAD:
             warnings.warn(
                 f"exterior map with leading coefficient {c0}; the construction "
                 "and its chain tolerate any unimodular one",
                 stacklevel=3,
             )
-    elif abs(c0 - 1.0) > 1e-9:
+    elif abs(c0 - 1.0) > TAU_EXTERIOR_LEAD:
         raise PreconditionError(f"leading coefficient must be 1, got {c0}")
     return c0
 

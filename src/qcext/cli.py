@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Optional, Sequence
 
+from .corpus import THEOREMS, builtin_ids
 from .errors import PreconditionError
 from .loewner import ChainSingularityError
-from .corpus import builtin_ids
 from .mapexpr import MapExprError, ParseError, eval_array, parse_map
 from .render import STYLE_NAMES, render_map, write_ppm
-from .report import (
-    EXIT_SINGULAR,
-    EXIT_USAGE,
-    THEOREMS,
-    _resolve_source,
-    run_chain,
-    run_verify,
-)
+from .report import EXIT_SINGULAR, EXIT_USAGE, _resolve_source, run_chain, run_verify
 from .version import VERSION
 
 
@@ -82,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("chain", help="check the evolution family for a map")
     _add_source_flags(c)
     c.add_argument("--chain", dest="chain_kind", help="chain kind (thm2, eq7a1, ...)")
-    c.add_argument("--tmax", type=float, default=5.0)
+    c.add_argument("--tmax", type=float)
     _add_report_flags(c)
 
     r = sub.add_parser("render", help="rasterize a map to a PPM image")
@@ -105,56 +99,58 @@ def _emit(report, args) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        params = _parse_params(args.param)
-        if args.command == "verify":
-            report, code = run_verify(
-                map_text=args.map_text,
-                builtin=args.builtin,
-                theorem=args.theorem,
-                params=params,
-                grid=args.grid or "96x96",
-                no_timestamp=args.no_timestamp,
-            )
-            _emit(report, args)
-            if args.image:
-                write_ppm(
-                    args.image,
-                    render_map(report.extended_map.evaluate_array, args.style),
+    # warnings follow the output, one line each, with no source path
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            params = _parse_params(args.param)
+            if args.command == "verify":
+                report, code = run_verify(
+                    map_text=args.map_text,
+                    builtin=args.builtin,
+                    theorem=args.theorem,
+                    params=params,
+                    grid=args.grid,
+                    no_timestamp=args.no_timestamp,
                 )
-            return code
-        if args.command == "chain":
-            report, code = run_chain(
-                map_text=args.map_text,
-                builtin=args.builtin,
-                chain=args.chain_kind,
-                params=params,
-                tmax=args.tmax,
-                grid=args.grid or "32x32",
-                no_timestamp=args.no_timestamp,
+                _emit(report, args)
+                if args.image:
+                    write_ppm(
+                        args.image,
+                        render_map(report.extended_map.evaluate_array, args.style),
+                    )
+                return code
+            if args.command == "chain":
+                report, code = run_chain(
+                    map_text=args.map_text,
+                    builtin=args.builtin,
+                    chain=args.chain_kind,
+                    params=params,
+                    tmax=args.tmax,
+                    grid=args.grid,
+                    no_timestamp=args.no_timestamp,
+                )
+                _emit(report, args)
+                return code
+            # render
+            _, _, text = _resolve_source(args.map_text, args.builtin, params)
+            f = parse_map(text)
+            rgb = render_map(
+                lambda Z: eval_array(f, Z), args.style, args.resolution, args.window
             )
-            _emit(report, args)
-            return code
-        # render
-        _, _, text = _resolve_source(args.map_text, args.builtin, params)
-        f = parse_map(text)
-        rgb = render_map(
-            lambda Z: eval_array(f, Z), args.style, args.resolution, args.window
-        )
-        write_ppm(args.image, rgb)
-        return 0
-    except ParseError as exc:
-        print(f"qcext: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, ValueError, OSError) as exc:
-        print(f"qcext: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ChainSingularityError as exc:
-        print(f"qcext: singularity: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (ArithmeticError, MapExprError) as exc:
-        print(f"qcext: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+            write_ppm(args.image, rgb)
+            return 0
+        except (ParseError, PreconditionError, ValueError, OSError) as exc:
+            print(f"qcext: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except ChainSingularityError as exc:
+            print(f"qcext: singularity: {exc}", file=sys.stderr)
+            return EXIT_SINGULAR
+        except (ArithmeticError, MapExprError) as exc:
+            print(f"qcext: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_SINGULAR
+        finally:
+            for w in caught:
+                print(f"qcext: warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Builtin map corpus for the command-line driver and the sweep tests.
 
 Each entry couples a parameterized expression template with the claims that
-ship with it: the membership criterion it is supposed to satisfy, the
-extension theorem that applies, the chain kind that reproduces the
-extension, and the dilatation bound.  Negative controls are listed with the
-same machinery and are expected to fail their pipelines.
+ship with it: the extension theorem that applies (and with it the class
+criterion, unless the entry names its own), the chain kind that reproduces
+the extension, and the dilatation bound.  Negative controls are listed with
+the same machinery and are expected to fail their pipelines.
 
 Parameter substitution happens on the text level: values are rendered with
 const_text and spliced into the template, and the resulting plain grammar
@@ -22,6 +22,35 @@ from .mapexpr import MapExpr, const_text, parse_map
 
 ParamMap = Mapping[str, complex]
 
+# the class criterion each extension theorem assumes
+THEOREM_CLASS = {
+    "t1": "U_lambda",
+    "t2": "U_lambda",
+    "t3": "V_p_lambda",
+    "t4": "M_Ug",
+    "cor1": "M_corollary1",
+    "brown": "brown",
+    "t5": "thm5",
+    "krzyz": "M_krzyz_decay",
+    "convex": "U_lambda",
+    "psi": "U_lambda",
+}
+THEOREMS = tuple(THEOREM_CLASS)
+
+
+def class_params_for(theorem: str, params: ParamMap) -> ClassParams:
+    """The criterion parameters a map's own parameters name."""
+    kw = {}
+    if "lambda" in params:
+        kw["lam"] = params["lambda"].real
+    if "k" in params:
+        kw["k"] = abs(params["k"])
+    if "p" in params:
+        kw["p"] = params["p"].real
+    if "lam" in params and theorem == "brown":
+        kw["brown_lambda"] = params["lam"]
+    return ClassParams(**kw)
+
 
 @dataclass(frozen=True)
 class BuiltinExample:
@@ -30,6 +59,7 @@ class BuiltinExample:
     defaults: Tuple[Tuple[str, complex], ...]
     theorem: str
     chain: Optional[str] = None
+    # criterion and parameters, where they depart from the theorem's
     class_name: Optional[str] = None
     negative: bool = False
     # chain input when it differs from the map itself (the decay family
@@ -44,6 +74,10 @@ class BuiltinExample:
     cls_of: Optional[Callable[[dict], ClassParams]] = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        if self.class_name is None:
+            object.__setattr__(self, "class_name", THEOREM_CLASS[self.theorem])
 
     def params(self, overrides: Optional[ParamMap] = None) -> Dict[str, complex]:
         out = {name: complex(val) for name, val in self.defaults}
@@ -79,9 +113,7 @@ class BuiltinExample:
 
     def class_params(self, overrides: Optional[ParamMap] = None) -> ClassParams:
         p = self.params(overrides)
-        if self.cls_of is None:
-            return ClassParams()
-        return self.cls_of(p)
+        return class_params_for(self.theorem, p) if self.cls_of is None else self.cls_of(p)
 
 
 def _example1_slots(p: Dict[str, complex]) -> Dict[str, complex]:
@@ -99,19 +131,15 @@ BUILTINS: Dict[str, BuiltinExample] = {
             defaults=(),
             theorem="t2",
             chain="thm2",
-            class_name="U_lambda",
             k_of=lambda p: 0.0,
-            cls_of=lambda p: ClassParams(lam=1.0),
         ),
         BuiltinExample(
             id="example1",
             template="z/(1-{c1}*z+{c2}*z^2)",
             defaults=(("lambda", 0.5 + 0j), ("theta", 0j)),
             theorem="t1",
-            class_name="U_lambda",
             slots=_example1_slots,
             k_of=lambda p: p["lambda"].real,
-            cls_of=lambda p: ClassParams(lam=p["lambda"].real),
         ),
         BuiltinExample(
             id="example2",
@@ -119,26 +147,21 @@ BUILTINS: Dict[str, BuiltinExample] = {
             defaults=(("lambda", 0.5 + 0j),),
             theorem="t2",
             chain="thm2",
-            class_name="U_lambda",
             k_of=lambda p: p["lambda"].real,
-            cls_of=lambda p: ClassParams(lam=p["lambda"].real),
         ),
         BuiltinExample(
             id="example3",
             template="{p}*z/(({p}-z)*(1-{lp}*z))",
             defaults=(("p", 0.5 + 0j), ("lambda", 0.5 + 0j)),
             theorem="t3",
-            class_name="V_p_lambda",
             slots=lambda p: {"lp": p["lambda"] * p["p"]},
             k_of=lambda p: p["lambda"].real,
-            cls_of=lambda p: ClassParams(lam=p["lambda"].real, p=p["p"].real),
         ),
         BuiltinExample(
             id="koebe",
             template="z/(1-z)^2",
             defaults=(),
             theorem="t1",
-            class_name="U_lambda",
             negative=True,
             cls_of=lambda p: ClassParams(lam=0.999),
         ),
@@ -147,9 +170,7 @@ BUILTINS: Dict[str, BuiltinExample] = {
             template="{p}*z/(({p}-z)*(1-{p}*z))",
             defaults=(("p", 0.5 + 0j),),
             theorem="t3",
-            class_name="V_p_lambda",
             negative=True,
-            cls_of=lambda p: ClassParams(lam=1.0, p=p["p"].real),
         ),
         BuiltinExample(
             id="mobius",
@@ -157,9 +178,7 @@ BUILTINS: Dict[str, BuiltinExample] = {
             defaults=(("a2", 0.5 + 0j), ("M", 2.0 + 0j)),
             theorem="convex",
             chain="convex",
-            class_name="U_lambda",
             k_of=lambda p: abs(p["a2"]),
-            cls_of=lambda p: ClassParams(lam=1.0),
         ),
         BuiltinExample(
             id="p_mobius",
@@ -168,7 +187,6 @@ BUILTINS: Dict[str, BuiltinExample] = {
             theorem="psi",
             class_name="V_p_lambda",
             k_of=lambda p: (abs(p["M"]) ** 2 - 1.0) / (abs(p["M"]) ** 2 + 1.0),
-            cls_of=lambda p: ClassParams(lam=1.0, p=p["p"].real),
         ),
         BuiltinExample(
             id="krzyz",
@@ -177,9 +195,7 @@ BUILTINS: Dict[str, BuiltinExample] = {
             theorem="krzyz",
             chain="krzyz",
             chain_template="{k}*z",
-            class_name="M_krzyz_decay",
             k_of=lambda p: abs(p["k"]),
-            cls_of=lambda p: ClassParams(k=abs(p["k"])),
         ),
         BuiltinExample(
             id="exterior_u",
@@ -187,8 +203,6 @@ BUILTINS: Dict[str, BuiltinExample] = {
             defaults=(("b", 0.12 + 0j),),
             theorem="t4",
             chain="eq7a1",
-            class_name="M_Ug",
-            cls_of=lambda p: ClassParams(k=0.5),
         ),
         BuiltinExample(
             id="exterior_pole",
@@ -196,7 +210,6 @@ BUILTINS: Dict[str, BuiltinExample] = {
             defaults=(("c", 0.3 + 0j),),
             theorem="cor1",
             chain="cor1",
-            class_name="M_corollary1",
             cls_of=lambda p: ClassParams(k=0.75),
         ),
         BuiltinExample(
@@ -204,8 +217,6 @@ BUILTINS: Dict[str, BuiltinExample] = {
             template="z-{c}*z^2",
             defaults=(("c", 0.25 + 0j), ("lam", 1.0 + 0j)),
             theorem="brown",
-            class_name="brown",
-            cls_of=lambda p: ClassParams(k=0.5, brown_lambda=p["lam"]),
         ),
         BuiltinExample(
             id="neg_deriv",
@@ -213,7 +224,6 @@ BUILTINS: Dict[str, BuiltinExample] = {
             defaults=(("c", 0.3 + 0j),),
             theorem="t5",
             chain="t5",
-            class_name="thm5",
             k_of=lambda p: 2.0 * abs(p["c"]),
             cls_of=lambda p: ClassParams(k=min(2.0 * abs(p["c"]), 0.999)),
         ),

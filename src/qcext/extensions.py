@@ -34,6 +34,7 @@ from .loewner import (
     time_zero_map,
 )
 from .mapexpr import (
+    TAU_COEFF_DUST,
     Add,
     Const,
     Div,
@@ -64,13 +65,11 @@ TAU_SPECIAL_POINT = 1e-6
 TAU_JET = 1e-9
 # _disc_pole_points: poles this far outside the seam still count
 TAU_DISC_POLE = 1e-9
-# ext_huang_owa: |a2| at most this sends infinity to infinity
+# ext_huang_owa: |a2| at most this sends infinity to infinity; below it,
+# report.build_extension routes t1 to ext_huang_owa
 TAU_A2_ZERO = 1e-12
 # ext_radial_psi: ||a2| - 1| allowed for unimodular_a2
 TAU_UNIMODULAR = 1e-9
-# _recover_w: denominator coefficients at most this times the coefficient
-# scale are rounding dust and get zeroed
-TAU_COEFF_DUST = 1e-12
 # ext_exterior: krzyz_decay's gap in the decay identity, relative to
 # 1 + sup |rhs|
 TAU_DECAY = 1e-9

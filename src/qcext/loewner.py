@@ -16,7 +16,7 @@ quasiconformal extensibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -156,6 +156,12 @@ class ChainGrid:
             lo, hi = exclude
             ts = ts[(ts < lo) | (ts > hi)]
         return ts
+
+
+# the D(k) sweep and the PDE residual keep these meshes whatever grid the K0
+# and Herglotz sweeps are given
+DK_GRID = ChainGrid(GridSpec(32, 32), 16)
+PDE_MESH = GridSpec(24, 24)
 
 
 @dataclass(frozen=True)
@@ -430,7 +436,7 @@ def check_dk(spec: LoewnerChainSpec, grid: ChainGrid | None = None) -> float:
     to TAU_THM2_REDUCTION while sweeping, and the first t that breaches it
     raises ArithmeticError.
     """
-    grid = grid or ChainGrid(GridSpec(32, 32), 16)
+    grid = grid or DK_GRID
     Z = disc_grid(grid.z).ravel()
     sup = 0.0
     for T in _row_batches(grid.t_samples(), Z.size):
@@ -519,7 +525,7 @@ def pde_residual_sup(
     """Sup of |df/dt - z f' p| on the r0-disc, with df/dt and f' by central
     differences and p in closed form, evaluated for t in batches
     (_row_batches)."""
-    grid = grid or ChainGrid(GridSpec(24, 24), 64)
+    grid = grid or ChainGrid(PDE_MESH)
     Z = disc_grid(grid.z, r_max=r0).ravel()
     window = spec.a1_zero_window(grid.t_max)
     sup = 0.0
@@ -549,7 +555,8 @@ def check_theorem_A(
     holding on the doubled mesh (k0_refined_ok) and subordination.
     growth_ratio and a1_fit_max_err are reported only: the package has no
     tolerance for either.  grid sets the K0 and Herglotz meshes only:
-    D(k) always runs at 32x32 with 16 time samples, the PDE residual at 24x24.
+    D(k) always runs on DK_GRID's mesh and time samples, the PDE residual on
+    PDE_MESH.
 
     Every sweep evaluates t in batches (_row_batches) and reduces each t on
     its own, in t order, so a non-finite K0 sample raises ChainSingularityError
@@ -599,8 +606,8 @@ def check_theorem_A(
         for row in re:
             min_re = min(min_re, float(np.min(row)))
 
-    dk_sup = check_dk(spec, ChainGrid(GridSpec(32, 32), 16, grid.t_max))
-    resid = pde_residual_sup(spec, r0, ChainGrid(GridSpec(24, 24), grid.n_t, grid.t_max))
+    dk_sup = check_dk(spec, replace(DK_GRID, t_max=grid.t_max))
+    resid = pde_residual_sup(spec, r0, ChainGrid(PDE_MESH, grid.n_t, grid.t_max))
     subordinate = subordination_ok(spec, r0)
 
     passed = (

@@ -47,6 +47,13 @@ from .sphere import (
 )
 
 MAX_EXPONENT = 64
+# is_normalized: |f(0)| and |f'(0) - 1| allowed for f = z + O(z^2)
+TAU_NORMALIZED = 1e-12
+# shifted_difference and extensions._recover_w: coefficients at most this
+# times the coefficient scale are rounding dust and get zeroed
+TAU_COEFF_DUST = 1e-12
+# poles_in_disc: a root where |P| is at most this times its scale is removable
+TAU_REMOVABLE = 1e-9
 
 
 class MapExprError(Exception):
@@ -470,7 +477,7 @@ def rational_form(m: MapExpr | Node) -> tuple[np.ndarray, np.ndarray]:
 
 def shifted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending coefficients of z*a(z) - b(z), with entries at or below
-    1e-12 of the largest coefficient of a or b set to zero.
+    TAU_COEFF_DUST of the largest coefficient of a or b set to zero.
 
     Callers pick a and b so that the low orders cancel exactly in theory;
     in floating point what is left of them is rounding dust.
@@ -479,7 +486,7 @@ def shifted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[1 : len(a) + 1] += a
     out[: len(b)] -= b
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-    out[np.abs(out) <= 1e-12 * scale] = 0.0
+    out[np.abs(out) <= TAU_COEFF_DUST * scale] = 0.0
     return out
 
 
@@ -566,7 +573,7 @@ def poles_in_disc(m: MapExpr | Node, radius: float = 1.0) -> list[complex]:
         pv = np.polynomial.polynomial.polyval(r, P)
         qscale = np.max(np.abs(Q))
         pscale = max(np.max(np.abs(P)), 1.0)
-        if abs(pv) <= 1e-9 * pscale and qscale > 0:
+        if abs(pv) <= TAU_REMOVABLE * pscale and qscale > 0:
             continue  # likely a removable root
         out.append(complex(r))
     out.sort(key=lambda w: (abs(w), w.real, w.imag))
@@ -824,4 +831,4 @@ def is_normalized(m: MapExpr | Node) -> bool:
         jet = taylor_jet(m, 2)
     except PoleAtCenterError:
         return False
-    return abs(jet[0]) <= 1e-12 and abs(jet[1] - 1.0) <= 1e-12
+    return abs(jet[0]) <= TAU_NORMALIZED and abs(jet[1] - 1.0) <= TAU_NORMALIZED

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .beltrami import FieldGrid, certify_qc
-from .classifiers import ClassParams, ClassVerdict, check_class, u_jet
-from .corpus import get_builtin
+from .classifiers import ClassVerdict, check_class, u_jet
+from .corpus import THEOREM_CLASS, THEOREMS, class_params_for, get_builtin
 from .errors import PreconditionError
 from .extensions import (
+    TAU_A2_ZERO,
+    TAU_UNIMODULAR,
     ExtendedMap,
     RadialProfile,
     ext_brown,
@@ -30,11 +32,7 @@ from .extensions import (
     ext_thm5,
 )
 from .grids import GridSpec
-from .loewner import (
-    ChainGrid,
-    check_theorem_A,
-    build_chain,
-)
+from .loewner import T_MAX, ChainGrid, build_chain, check_theorem_A
 from .mapexpr import MapExpr, parse_map, taylor_jet
 from .sphere import _point_json
 from .version import VERSION
@@ -44,21 +42,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
-THEOREMS = ("t1", "t2", "t3", "t4", "cor1", "brown", "t5", "krzyz", "convex", "psi")
-
-# class criterion to sweep when the caller gave a bare expression
-THEOREM_CLASS = {
-    "t1": "U_lambda",
-    "t2": "U_lambda",
-    "t3": "V_p_lambda",
-    "t4": "M_Ug",
-    "cor1": "M_corollary1",
-    "brown": "brown",
-    "t5": "thm5",
-    "krzyz": "M_krzyz_decay",
-    "convex": "U_lambda",
-    "psi": "U_lambda",
-}
+# _mobius_a2: U_f vanishes identically when its jet at 0 is this small
+TAU_U_VANISHES = 1e-9
 
 CHAIN_KINDS_SHORT = {
     "thm2": "thm2_eq3",
@@ -217,7 +202,7 @@ def _wall(t0: float, no_timestamp: bool) -> float:
 def _mobius_a2(f: MapExpr) -> Optional[complex]:
     """a2 of f when the small functional U_f vanishes identically (a disc
     automorphism denominator), else None."""
-    if max(abs(c) for c in u_jet(f, 6)) > 1e-9:
+    if max(abs(c) for c in u_jet(f, 6)) > TAU_U_VANISHES:
         return None
     return complex(taylor_jet(f, 6)[2])
 
@@ -260,24 +245,11 @@ def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> Ext
         return ext_radial_psi("unimodular_a2", _require_mobius_a2(f), profile)
     # t1 splits on whether the small functional vanishes identically
     a2 = _mobius_a2(f)
-    if a2 is None or abs(a2) < 1e-12:
+    if a2 is None or abs(a2) < TAU_A2_ZERO:
         return ext_huang_owa(f)
-    if abs(abs(a2) - 1.0) <= 1e-9:
+    if abs(abs(a2) - 1.0) <= TAU_UNIMODULAR:
         return ext_radial_psi("unimodular_a2", a2, profile)
     return ext_mobius_convex(a2)
-
-
-def _class_params_for(theorem: str, params: Dict[str, complex]) -> ClassParams:
-    kw = {}
-    if "lambda" in params:
-        kw["lam"] = params["lambda"].real
-    if "k" in params:
-        kw["k"] = abs(params["k"])
-    if "p" in params:
-        kw["p"] = params["p"].real
-    if "lam" in params and theorem == "brown":
-        kw["brown_lambda"] = params["lam"]
-    return ClassParams(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +283,8 @@ def _resolve_map(
         theorem = theorem or ex.theorem
         return ex, merged, text, theorem, ex.class_name, ex.class_params(params)
     theorem = theorem or "t1"
-    class_name = THEOREM_CLASS.get(theorem)
-    cls_params = _class_params_for(theorem, merged)
-    return None, merged, text, theorem, class_name, cls_params
+    cls_params = class_params_for(theorem, merged)
+    return None, merged, text, theorem, THEOREM_CLASS.get(theorem), cls_params
 
 
 def run_verify(
@@ -321,7 +292,7 @@ def run_verify(
     builtin: Optional[str] = None,
     theorem: Optional[str] = None,
     params: Optional[Dict[str, complex]] = None,
-    grid: str = "96x96",
+    grid: Optional[str] = None,
     no_timestamp: bool = False,
 ) -> Tuple[VerificationReport, int]:
     t0 = time.perf_counter()
@@ -329,7 +300,7 @@ def run_verify(
         map_text, builtin, theorem, params
     )
     f = parse_map(text)
-    gs = GridSpec.parse(grid)
+    gs = GridSpec.parse(grid) if grid else GridSpec()
 
     notes: List[str] = []
     verdicts: List[ClassVerdict] = []
@@ -366,8 +337,8 @@ def run_chain(
     builtin: Optional[str] = None,
     chain: Optional[str] = None,
     params: Optional[Dict[str, complex]] = None,
-    tmax: float = 5.0,
-    grid: str = "32x32",
+    tmax: Optional[float] = None,
+    grid: Optional[str] = None,
     no_timestamp: bool = False,
 ) -> Tuple[VerificationReport, int]:
     t0 = time.perf_counter()
@@ -382,10 +353,10 @@ def run_chain(
         raise ValueError("a chain kind is required")
     kind = CHAIN_KINDS_SHORT.get(chain, chain)
     base = parse_map(text)
-    gs = GridSpec.parse(grid)
+    gs = GridSpec.parse(grid) if grid else ChainGrid.z
 
     spec = build_chain(kind, base)
-    cg = ChainGrid(z=gs, n_t=64, t_max=float(tmax))
+    cg = ChainGrid(z=gs, t_max=T_MAX if tmax is None else float(tmax))
     chk = check_theorem_A(spec, cg)
     lo = dataclasses.asdict(chk)
     lo["kind"] = kind

@@ -153,25 +153,10 @@ def ext_pow(a: ExtComplex, n: int) -> ExtComplex:
 
 
 def chordal(a: ExtComplex, b: ExtComplex) -> float:
-    """Chordal (sphere) distance, range [0, 2]."""
-    ainf, binf = is_infinity(a), is_infinity(b)
-    if ainf and binf:
-        return 0.0
-    if ainf or binf:
-        w = complex(b if ainf else a)
-        aw = abs(w)
-        if not cmath.isfinite(complex(aw)):
-            return 0.0
-        return 2.0 / math.hypot(1.0, aw)
-    wa, wb = complex(a), complex(b)
-    if not cmath.isfinite(wa):
-        return chordal(INFINITY, wb)
-    if not cmath.isfinite(wb):
-        return chordal(wa, INFINITY)
-    if abs(wa) > 1e150 and abs(wb) > 1e150:
-        # avoid inf - inf overflow; the chordal metric is inversion invariant
-        return chordal(1.0 / wa, 1.0 / wb)
-    return 2.0 * abs(wa - wb) / math.hypot(1.0, abs(wa)) / math.hypot(1.0, abs(wb))
+    """Chordal (sphere) distance, range [0, 2]: chordal_array at one point,
+    so a non-finite value reads as INFINITY."""
+    a, b = (complex(math.inf) if is_infinity(v) else complex(v) for v in (a, b))
+    return float(chordal_array(np.array([a]), np.array([b]))[0])
 
 
 def chordal_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:

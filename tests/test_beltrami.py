@@ -177,12 +177,6 @@ def test_degenerate_field_rejected():
         beltrami_field(em, FieldGrid("disc", 8, 8))
 
 
-def test_field_summary_shape():
-    s = beltrami_field(ext_mobius_convex(0.5), FieldGrid("disc", 8, 8)).summary()
-    assert set(s) == {"sup_mu", "argmax_point", "degenerate_count", "n_points", "mesh"}
-    assert s["mesh"] == "8x8 disc"
-
-
 def _whole_side_field(em, points):
     """Reference field: one stencil call per side of the seam, then the
     reduction over the whole grid at once."""

@@ -115,7 +115,7 @@ def test_chain_refuses_a_horizon_that_samples_no_positive_time(tmax, capsys):
 @pytest.mark.parametrize("tmax", ["1e6", "400"])
 def test_chain_refuses_a_horizon_past_double_range(tmax, capsys):
     # past T_MAX_LIMIT the chain formulas overflow; the chain is not singular
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings():
         warnings.simplefilter("always")
         code = main(["chain", "--builtin", "example2", "--tmax", tmax])
     captured = capsys.readouterr()
@@ -123,7 +123,32 @@ def test_chain_refuses_a_horizon_past_double_range(tmax, capsys):
     assert captured.out == ""
     assert captured.err.startswith("qcext: t_max must be below 300,")
     assert captured.err.count("\n") == 1
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # main prints what it records, an overflow RuntimeWarning included
+    assert "qcext: warning:" not in captured.err
+
+
+EXTERIOR_POLE_WARNING = (
+    "qcext: warning: exterior map with leading coefficient (-1+0j); "
+    "the construction and its chain tolerate any unimodular one\n"
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "chain"])
+def test_builder_warning_is_one_line_after_the_report(command, capsys):
+    code = main([command, "--builtin", "exterior_pole", "--grid", "16x16", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["overall"] is True
+    assert captured.err == EXTERIOR_POLE_WARNING
+    assert "/" not in captured.err and "\\" not in captured.err
+
+
+def test_ignored_warnings_print_nothing(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["chain", "--builtin", "exterior_pole", "--grid", "16x16"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_render_smoke_file_size(tmp_path):

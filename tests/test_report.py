@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qcext.corpus import BUILTINS, THEOREM_CLASS, class_params_for
 from qcext.errors import PreconditionError
 from qcext.report import (
     build_extension,
@@ -105,6 +106,34 @@ def test_verify_defaults_pass(builtin):
     else:
         report, code = run_verify(builtin=builtin, grid="48x48", no_timestamp=True)
     assert code == 0, report.to_text()
+
+
+# builtins whose class criterion departs from the one their theorem assumes
+CLASS_OVERRIDES = {"p_mobius", "koebe", "exterior_pole", "neg_deriv"}
+
+
+@pytest.mark.parametrize("builtin", sorted(set(BUILTINS) - CLASS_OVERRIDES))
+def test_builtin_and_its_map_text_sweep_the_same_class(builtin):
+    ex = BUILTINS[builtin]
+    by_id, _ = run_verify(builtin=builtin, grid="24x24", no_timestamp=True)
+    by_map, _ = run_verify(
+        map_text=ex.text(),
+        theorem=ex.theorem,
+        params=ex.params(),
+        grid="24x24",
+        no_timestamp=True,
+    )
+    assert by_id.class_verdicts and by_map.class_verdicts == by_id.class_verdicts
+
+
+def test_only_the_declared_builtins_depart_from_their_theorem():
+    departs = {
+        bid
+        for bid, ex in BUILTINS.items()
+        if (ex.class_name, ex.class_params())
+        != (THEOREM_CLASS[ex.theorem], class_params_for(ex.theorem, ex.params()))
+    }
+    assert departs == CLASS_OVERRIDES
 
 
 def test_theorem_dispatch_splits_on_vanishing_functional():
