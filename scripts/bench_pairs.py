@@ -10,7 +10,9 @@ pair to pair.  The copy leaves out ``.git`` and every ``__pycache__``, so
 neither side starts with compiled bytecode that the other lacks; that would
 lower its ``setup_s`` and ``peak_rss_mb``.  The table holds every run's
 end-to-end metrics, each side's median and quartiles per metric, and the
-number of pairs the change won (ties count for neither side).
+number of pairs the change won (ties count for neither side).  Once the table
+is written, the script exits 1 and names each run (workload, seed, side) that
+had a failed op or was not correct, since its numbers time the wrong work.
 
 Run from the root of a source checkout:
 
@@ -62,6 +64,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
         "seed": seed,
+        "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -127,6 +130,16 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")
+    bad = [
+        f"{workload} seed {run['seed']} {side}"
+        for workload, entry in table["workloads"].items()
+        for side, runs in entry["runs"].items()
+        for run in runs
+        if run["failed"] > 0 or not run["correct"]
+    ]
+    if bad:
+        print(f"{len(bad)} bad runs: " + "; ".join(bad), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .classifiers import POLE_EXCLUSION
-from .errors import PreconditionError
 from .extensions import TAU_SEAM, ExtendedMap, SeamGap, seam_gap
 from .grids import MAX_GRID_POINTS, blocks, seam_circle
 from .sphere import is_infinity
@@ -134,21 +133,10 @@ class VerificationVerdict:
 # stencils
 
 
-def wirtinger(
-    F: Callable,
-    z: complex,
-    h: float,
-    exclusions: Sequence[Tuple[complex, float]] = (),
-) -> Tuple[complex, complex]:
+def wirtinger(F: Callable, z: complex, h: float) -> Tuple[complex, complex]:
     """(F_z, F_zbar) by central differences at step h: the stencil of
     _wirtinger_block at one point."""
-    z = complex(z)
-    stencil = (z + h, z - h, z + 1j * h, z - 1j * h)
-    for center, radius in exclusions:
-        for s in stencil:
-            if abs(s - center) < radius:
-                raise PreconditionError(f"stencil at {z} touches exclusion {center}")
-    fz, fzb = _stencil(F, np.array([z]), h)
+    fz, fzb = _stencil(F, np.array([complex(z)]), h)
     return complex(fz[0]), complex(fzb[0])
 
 

@@ -63,7 +63,7 @@ SEAM_EPS = 1e-6
 TAU_SPECIAL_POINT = 1e-6
 # _require_normalized_jet and ext_thm2: |f(0)|, |f'(0) - 1| and |a2|
 TAU_JET = 1e-9
-# _disc_pole_points: poles this far outside the seam still count
+# _reflected: poles this far outside the seam still count
 TAU_DISC_POLE = 1e-9
 # ext_huang_owa: |a2| at most this sends infinity to infinity; below it,
 # report.build_extension routes t1 to ext_huang_owa
@@ -226,8 +226,27 @@ def _require_normalized_jet(f: MapExpr) -> np.ndarray:
     return c
 
 
-def _disc_pole_points(f: MapExpr) -> list[SpecialPoint]:
-    return [(p, INFINITY) for p in poles_in_disc(f, 1.0 + TAU_DISC_POLE)]
+def _reflected(
+    f: MapExpr,
+    outer_id: str,
+    params: Tuple[Tuple[str, str], ...],
+    outer: Callable[[np.ndarray], np.ndarray],
+    claimed_k: float,
+    at_infinity: ExtComplex = INFINITY,
+) -> ExtendedMap:
+    """The extension of the disc map f by an outer branch built on
+    f(1/z-bar): f's poles on the closed disc go to infinity, and infinity
+    goes to at_infinity."""
+    poles = tuple((p, INFINITY) for p in poles_in_disc(f, 1.0 + TAU_DISC_POLE))
+    return ExtendedMap(
+        inner=f,
+        inner_region="disc",
+        outer_id=outer_id,
+        outer_params=params,
+        outer=outer,
+        special_points=poles + ((INFINITY, at_infinity),),
+        claimed_k=claimed_k,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +271,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
         return Z / (1.0 - a2 * Z + np.abs(Z) ** 2 * eval_array(phi, W))
 
     at_inf = INFINITY if abs(a2) <= TAU_A2_ZERO else -1.0 / a2
-    pts = tuple(_disc_pole_points(f)) + ((INFINITY, at_inf),)
-    return ExtendedMap(
-        inner=f,
-        inner_region="disc",
-        outer_id="phi_reflection",
-        outer_params=(("a2", repr(a2)),),
-        outer=outer,
-        special_points=pts,
-        claimed_k=claimed,
-    )
+    return _reflected(f, "phi_reflection", (("a2", repr(a2)),), outer, claimed, at_inf)
 
 
 def ext_thm2(f: MapExpr) -> ExtendedMap:
@@ -278,16 +288,7 @@ def ext_thm2(f: MapExpr) -> ExtendedMap:
         W = 1.0 / np.conj(Z)
         return Z / (Z * eval_array(recip, W) - (np.abs(Z) ** 2 - 1.0))
 
-    pts = tuple(_disc_pole_points(f)) + ((INFINITY, INFINITY),)
-    return ExtendedMap(
-        inner=f,
-        inner_region="disc",
-        outer_id="map_reflection",
-        outer_params=(),
-        outer=outer,
-        special_points=pts,
-        claimed_k=seam_bound(f, "M_Ug"),
-    )
+    return _reflected(f, "map_reflection", (), outer, seam_bound(f, "M_Ug"))
 
 
 def ext_mobius_convex(a2: complex) -> ExtendedMap:
@@ -378,16 +379,8 @@ def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
         W = 1.0 / np.conj(Z)
         return eval_array(f, W) + (Z - W) / lam
 
-    pts = tuple(_disc_pole_points(f)) + ((INFINITY, INFINITY),)
-    return ExtendedMap(
-        inner=f,
-        inner_region="disc",
-        outer_id="derivative_shift",
-        outer_params=(("lambda", repr(lam)),),
-        outer=outer,
-        special_points=pts,
-        claimed_k=seam_bound(f, "brown", ClassParams(brown_lambda=lam)),
-    )
+    claimed = seam_bound(f, "brown", ClassParams(brown_lambda=lam))
+    return _reflected(f, "derivative_shift", (("lambda", repr(lam)),), outer, claimed)
 
 
 def ext_thm5(f: MapExpr) -> ExtendedMap:
@@ -403,16 +396,7 @@ def ext_thm5(f: MapExpr) -> ExtendedMap:
         W = 1.0 / np.conj(Z)
         return eval_array(f, W) - Z + W
 
-    pts = tuple(_disc_pole_points(f)) + ((INFINITY, INFINITY),)
-    return ExtendedMap(
-        inner=f,
-        inner_region="disc",
-        outer_id="reflection_shift",
-        outer_params=(),
-        outer=outer,
-        special_points=pts,
-        claimed_k=seam_bound(f, "thm5"),
-    )
+    return _reflected(f, "reflection_shift", (), outer, seam_bound(f, "thm5"))
 
 
 # ---------------------------------------------------------------------------

@@ -410,14 +410,15 @@ def working_radius(spec: LoewnerChainSpec) -> float:
     return float(min(max(0.5 * d, 0.05), 0.85))
 
 
-def _row_batches(samples: np.ndarray, n_points: int):
-    """1-D samples as (rows, 1) columns to broadcast against n_points
-    flattened points, with rows * n_points <= CHAIN_BATCH_POINTS (one row at
-    least).  Callers reduce each row on its own, in sample order, as a
-    one-sample loop would."""
-    rows = max(1, CHAIN_BATCH_POINTS // n_points)
-    for i in range(0, len(samples), rows):
-        yield samples[i : i + rows, None]
+def _rows(fn, Z: np.ndarray, samples: np.ndarray):
+    """(sample, row) pairs of fn(Z, S), in sample order, for a column S of
+    samples broadcast against the flattened points Z in batches of at most
+    CHAIN_BATCH_POINTS points (one row at least).  Each row is reduced on its
+    own by the caller, as a one-sample loop would."""
+    step = max(1, CHAIN_BATCH_POINTS // Z.size)
+    for i in range(0, len(samples), step):
+        S = samples[i : i + step, None]
+        yield from zip(S[:, 0], fn(Z, S))
 
 
 def dk_radius_field(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
@@ -427,36 +428,35 @@ def dk_radius_field(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
-def check_dk(spec: LoewnerChainSpec, grid: ChainGrid | None = None) -> float:
-    """Sup over the (z,t) grid of |(p-1)/(p+1)|, evaluated for t in
-    batches (_row_batches) and reduced per t in t order.
+def check_dk(spec: LoewnerChainSpec, t_max: float = T_MAX) -> float:
+    """Sup of |(p-1)/(p+1)| over DK_GRID's mesh and time samples on
+    [0, t_max], reduced per t in t order (_rows).
 
     For the thm2_eq3 kind the ratio admits an exact algebraic reduction to
     the U functional of the scaled map; the reduction is verified pointwise
     to TAU_THM2_REDUCTION while sweeping, and the first t that breaches it
     raises ArithmeticError.
     """
-    grid = grid or DK_GRID
-    Z = disc_grid(grid.z).ravel()
-    sup = 0.0
-    for T in _row_batches(grid.t_samples(), Z.size):
+    Z = disc_grid(DK_GRID.z).ravel()
+
+    def field(Z, T):
         vals = dk_radius_field(spec, Z, T)
-        for row in vals:
-            sup = max(sup, float(np.max(row)))
         if spec.kind != "thm2_eq3":
+            return ((row, None) for row in vals)
+        em = np.array([[math.exp(-t)] for t in T[:, 0]])
+        scale = np.array([[math.exp(2 * t)] for t in T[:, 0]])
+        return zip(vals, scale * np.abs(u_field(spec.base_map, em * Z)))
+
+    sup = 0.0
+    for t, (row, want) in _rows(field, Z, replace(DK_GRID, t_max=t_max).t_samples()):
+        sup = max(sup, float(np.max(row)))
+        if want is None:
             continue
-        ts = T[:, 0]
-        em = np.array([[math.exp(-t)] for t in ts])
-        scale = np.array([[math.exp(2 * t)] for t in ts])
-        expected = scale * np.abs(u_field(spec.base_map, em * Z))
-        for t, row, want in zip(ts, vals, expected):
-            finite = np.isfinite(row) & np.isfinite(want)
-            if np.any(finite):
-                resid = float(np.max(np.abs(row[finite] - want[finite])))
-                if resid > TAU_THM2_REDUCTION:
-                    raise ArithmeticError(
-                        f"thm2 ratio reduction off by {resid} at t={t}"
-                    )
+        finite = np.isfinite(row) & np.isfinite(want)
+        if np.any(finite):
+            resid = float(np.max(np.abs(row[finite] - want[finite])))
+            if resid > TAU_THM2_REDUCTION:
+                raise ArithmeticError(f"thm2 ratio reduction off by {resid} at t={t}")
     return sup
 
 
@@ -502,8 +502,8 @@ def subordination_ok(spec: LoewnerChainSpec, r0: float) -> bool:
     curve under f(.,t) for s < t (winding number 1 at every sample).
 
     The 64 query points go against the 1024-point curve in batches of rows
-    (_row_batches).  One (64, 1024) broadcast gives the same winding numbers
-    but raised the chain benchmark's peak RSS by 5.4%."""
+    (_rows).  One (64, 1024) broadcast gives the same winding numbers but
+    raised the chain benchmark's peak RSS by 5.4%."""
     r = 0.9 * r0
     inner_pts = r * np.exp(1j * _angles(64))
     curve_pts = r * np.exp(1j * _angles(1024))
@@ -513,9 +513,8 @@ def subordination_ok(spec: LoewnerChainSpec, r0: float) -> bool:
         big = chain_eval_array(spec, curve_pts, t)
         if not (np.all(np.isfinite(small)) and np.all(np.isfinite(big))):
             return False
-        for Q in _row_batches(small, big.size):
-            if np.any(_winding_numbers(big, Q) != 1):
-                return False
+        if any(w != 1 for _, w in _rows(_winding_numbers, big, small)):
+            return False
     return True
 
 
@@ -523,13 +522,10 @@ def pde_residual_sup(
     spec: LoewnerChainSpec, r0: float, grid: ChainGrid | None = None
 ) -> float:
     """Sup of |df/dt - z f' p| on the r0-disc, with df/dt and f' by central
-    differences and p in closed form, evaluated for t in batches
-    (_row_batches)."""
+    differences and p in closed form, reduced per t in t order (_rows)."""
     grid = grid or ChainGrid(PDE_MESH)
-    Z = disc_grid(grid.z, r_max=r0).ravel()
-    window = spec.a1_zero_window(grid.t_max)
-    sup = 0.0
-    for T in _row_batches(grid.t_samples(window), Z.size):
+
+    def resid(Z, T):
         ft = (
             chain_eval_array(spec, Z, T + H_T)
             - chain_eval_array(spec, Z, T - H_T)
@@ -539,11 +535,12 @@ def pde_residual_sup(
             - chain_eval_array(spec, Z - H_Z, T)
         ) / (2.0 * H_Z)
         p = herglotz_array(spec, Z, T)
-        resid = np.abs(ft - Z * fz * p)
-        resid = np.where(np.isfinite(resid), resid, np.inf)
-        for row in resid:
-            sup = max(sup, float(np.max(row)))
-    return sup
+        r = np.abs(ft - Z * fz * p)
+        return np.where(np.isfinite(r), r, np.inf)
+
+    Z = disc_grid(grid.z, r_max=r0).ravel()
+    ts = grid.t_samples(spec.a1_zero_window(grid.t_max))
+    return max((float(np.max(row)) for _, row in _rows(resid, Z, ts)), default=0.0)
 
 
 def check_theorem_A(
@@ -558,55 +555,53 @@ def check_theorem_A(
     D(k) always runs on DK_GRID's mesh and time samples, the PDE residual on
     PDE_MESH.
 
-    Every sweep evaluates t in batches (_row_batches) and reduces each t on
-    its own, in t order, so a non-finite K0 sample raises ChainSingularityError
-    at the first (t, z) a one-t loop would meet."""
+    Every sweep evaluates t in batches and reduces each t on its own, in t
+    order (_rows), so a non-finite K0 sample raises ChainSingularityError at
+    the first (t, z) a one-t loop would meet."""
     grid = grid or ChainGrid()
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
     ts = grid.t_samples(window)
 
+    def modulus(Z, T):
+        return np.abs(chain_eval_array(spec, Z, T))
+
     # growth constant on the working disc, normalized by a1
     Zr = disc_grid(grid.z, r_max=r0).ravel()
     K0 = 0.0
     K0_half = 0.0
-    for T in _row_batches(ts, Zr.size):
-        vals = np.abs(chain_eval_array(spec, Zr, T))
-        for t, row in zip(T[:, 0], vals):
-            if not np.all(np.isfinite(row)):
-                bad = int(np.argmax(~np.isfinite(row)))
-                raise ChainSingularityError(complex(Zr[bad]), float(t))
-            ratio = float(np.max(row)) / abs(complex(spec.a1(t)))
-            K0 = max(K0, ratio)
-            if t <= grid.t_max / 2:
-                K0_half = max(K0_half, ratio)
+    for t, row in _rows(modulus, Zr, ts):
+        if not np.all(np.isfinite(row)):
+            bad = int(np.argmax(~np.isfinite(row)))
+            raise ChainSingularityError(complex(Zr[bad]), float(t))
+        ratio = float(np.max(row)) / abs(complex(spec.a1(t)))
+        K0 = max(K0, ratio)
+        if t <= grid.t_max / 2:
+            K0_half = max(K0_half, ratio)
     growth_ratio = K0 / K0_half if K0_half > 0 else math.inf
     K0_claimed = 1.05 * K0
 
-    # re-verify the fitted bound on a doubled mesh
+    # re-verify the fitted bound on a doubled mesh; max propagates NaN, so a
+    # row's peak fails exactly when one of its values does
     fine = GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta)
     Zf = disc_grid(fine, r_max=r0).ravel()
     tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples(window)
-    k0_refined_ok = True
-    for T in _row_batches(tf, Zf.size):
-        # max propagates NaN, so a row's peak fails exactly when one of its
-        # values does
-        peaks = np.abs(chain_eval_array(spec, Zf, T)).max(axis=1)
-        bounds = [K0_claimed * abs(complex(spec.a1(t))) for t in T[:, 0]]
-        if not all(peak <= b for peak, b in zip(peaks, bounds)):
-            k0_refined_ok = False
-            break
+    k0_refined_ok = all(
+        peak <= K0_claimed * abs(complex(spec.a1(t)))
+        for t, peak in _rows(lambda Z, T: modulus(Z, T).max(axis=1), Zf, tf)
+    )
 
     # Herglotz positivity on the full disc
-    Zd = disc_grid(grid.z).ravel()
-    min_re = math.inf
-    for T in _row_batches(ts, Zd.size):
-        p = herglotz_array(spec, Zd, T)
-        re = np.where(np.isfinite(p.real), p.real, -np.inf)
-        for row in re:
-            min_re = min(min_re, float(np.min(row)))
+    def re_p(Z, T):
+        p = herglotz_array(spec, Z, T)
+        return np.where(np.isfinite(p.real), p.real, -np.inf)
 
-    dk_sup = check_dk(spec, replace(DK_GRID, t_max=grid.t_max))
+    Zd = disc_grid(grid.z).ravel()
+    min_re = min(
+        (float(np.min(row)) for _, row in _rows(re_p, Zd, ts)), default=math.inf
+    )
+
+    dk_sup = check_dk(spec, grid.t_max)
     resid = pde_residual_sup(spec, r0, ChainGrid(PDE_MESH, grid.n_t, grid.t_max))
     subordinate = subordination_ok(spec, r0)
 

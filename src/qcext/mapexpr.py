@@ -54,6 +54,10 @@ TAU_NORMALIZED = 1e-12
 TAU_COEFF_DUST = 1e-12
 # poles_in_disc: a root where |P| is at most this times its scale is removable
 TAU_REMOVABLE = 1e-9
+# _trim: trailing coefficients at most this times the scale are dropped
+TAU_TRIM = 1e-14
+# series_inv: a constant term at most this times the scale counts as zero
+TAU_SERIES_CONST = 1e-13
 
 
 class MapExprError(Exception):
@@ -436,7 +440,7 @@ def _trim(p: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(p)) if p.size else 0.0
     if scale == 0.0:
         return np.zeros(1, dtype=np.complex128)
-    keep = np.nonzero(np.abs(p) > 1e-14 * scale)[0]
+    keep = np.nonzero(np.abs(p) > TAU_TRIM * scale)[0]
     if keep.size == 0:
         return np.zeros(1, dtype=np.complex128)
     return p[: keep[-1] + 1]
@@ -734,7 +738,7 @@ def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def series_inv(a: np.ndarray) -> np.ndarray:
     n = len(a)
     scale = np.max(np.abs(a)) if n else 0.0
-    if scale == 0.0 or abs(a[0]) <= 1e-13 * scale:
+    if scale == 0.0 or abs(a[0]) <= TAU_SERIES_CONST * scale:
         raise PoleAtCenterError("series has (numerically) zero constant term")
     out = np.zeros(n, dtype=np.complex128)
     out[0] = 1.0 / a[0]

@@ -277,11 +277,14 @@ def _resolve_map(
     theorem: Optional[str],
     params: Optional[Dict[str, complex]],
 ):
-    """Common front half: substitute, parse, pick theorem and class."""
+    """Common front half: substitute, parse, pick theorem and class.
+
+    A builtin keeps its own class check and expected k under its own theorem
+    only; under another theorem it runs as its map text does, and the
+    builtin is returned as None."""
     ex, merged, text = _resolve_source(map_text, builtin, params)
-    if ex is not None:
-        theorem = theorem or ex.theorem
-        return ex, merged, text, theorem, ex.class_name, ex.class_params(params)
+    if ex is not None and theorem in (None, ex.theorem):
+        return ex, merged, text, ex.theorem, ex.class_name, ex.class_params(params)
     theorem = theorem or "t1"
     cls_params = class_params_for(theorem, merged)
     return None, merged, text, theorem, THEOREM_CLASS.get(theorem), cls_params

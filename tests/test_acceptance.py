@@ -31,7 +31,7 @@ from qcext.extensions import (
     ext_thm5,
 )
 from qcext.grids import GridSpec, disc_grid, exterior_grid
-from qcext.loewner import ChainGrid, build_chain, check_dk, check_theorem_A
+from qcext.loewner import build_chain, check_dk, check_theorem_A
 from qcext.mapexpr import ParseError, eval_array, parse_map, print_expr
 from qcext.render import ppm_bytes, render_map
 from qcext.report import run_verify
@@ -165,7 +165,7 @@ def test_criterion_3_transition_identity_and_envelope():
         spec = build_chain("thm2_eq3", EX2)
         # the 32x32x16 sweep re-derives the identity pointwise and raises on
         # any breach beyond 1e-10
-        sup = check_dk(spec, ChainGrid(GridSpec(32, 32), 16))
+        sup = check_dk(spec)
         r_max = float(np.max(np.abs(disc_grid(GridSpec(32, 32)))))
         assert abs(sup - 0.5 * r_max**2) <= 1e-6, sup
 

@@ -17,7 +17,6 @@ from qcext.beltrami import (
 )
 from qcext.classifiers import POLE_EXCLUSION
 from qcext.corpus import get_builtin
-from qcext.errors import PreconditionError
 from qcext.extensions import (
     ExtendedMap,
     RadialProfile,
@@ -59,11 +58,6 @@ def test_wirtinger_on_extension_interior_branch():
     # piecewise-linear branch, so the stencil is exact
     assert abs(fz - 1.0) < 1e-10
     assert abs(fzb - 0.5) < 1e-10
-
-
-def test_wirtinger_respects_exclusions():
-    with pytest.raises(PreconditionError):
-        wirtinger(np.conj, 0.5 + 0j, 1e-5, exclusions=[(0.5 + 1e-5j, 1e-6)])
 
 
 def test_wirtinger_order_at_least_1_9():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -126,6 +128,17 @@ def test_builtin_and_its_map_text_sweep_the_same_class(builtin):
     assert by_id.class_verdicts and by_map.class_verdicts == by_id.class_verdicts
 
 
+@pytest.mark.parametrize(
+    "builtin, theorem, text", [("exterior_u", "krzyz", "z+0.12/z"), ("krzyz", "t4", "z+0.5/z")]
+)
+def test_builtin_under_another_theorem_runs_as_its_map_text(builtin, theorem, text):
+    # the builtin's own criterion and expected k belong to its own theorem
+    by_id, _ = run_verify(builtin=builtin, theorem=theorem, grid="16x16", no_timestamp=True)
+    by_map, _ = run_verify(map_text=text, theorem=theorem, grid="16x16", no_timestamp=True)
+    assert by_map.class_verdicts == by_id.class_verdicts
+    assert by_map.beltrami == by_id.beltrami
+
+
 def test_only_the_declared_builtins_depart_from_their_theorem():
     departs = {
         bid
@@ -182,3 +195,55 @@ def test_chain_flag_validation():
         run_chain(map_text="z", chain="warp")
     with pytest.raises(ValueError):
         run_chain(map_text="z")
+
+
+# ---------------------------------------------------------------------------
+# report bytes across the corpus
+
+# sha256 of run_verify(builtin, grid="24x24", no_timestamp=True).to_json()
+# and of run_chain(builtin, grid="16x16", no_timestamp=True).to_json(),
+# frozen before the chain sweeps and the reflection builders were rewritten
+VERIFY_DIGESTS = {
+    "identity": "8f8ad6a45c756a7eeb4748b7276fd45b2cb65dafdf3497541bfcc175d76a8f38",
+    "example1": "bd854efe19e5b780e88057fb9d11260fbeed55971e07a5dfc7b1301c372db888",
+    "example2": "caea75b5fb7589b2ef244fc611b63b4874f6c2c6651eb1c084a93737c3eeb2e8",
+    "example3": "5d99cc37888118cec71e99f9174f976cf9e74a74c2644e6d77b01f4d9bbc1fe5",
+    "koebe": "da52c414d41876f815e28d8c4b3f997f56303fe75988678227174e4c4c5b5320",
+    "kp": "59ea277b8d9d15b22a437386939d0a94de773f88fc07750ece716c660f70e243",
+    "mobius": "ba20041d1ddc8e4d8a2145cd0ede141f707a28e08bbd7d15ca2a515babd35827",
+    "p_mobius": "203fd8bbf6759a7afc34a9dd33e2c53856a694c1fc003c32801a5baec98cfbc4",
+    "krzyz": "bab5cd908ce09c16645df31d3319254b3aa7dc7c33ce2bf3660961459550d2bf",
+    "exterior_u": "e7f2dd260144f72417323ca54b67da8eb25f30b982ed0280623198462071b24b",
+    "exterior_pole": "d272443e251adc7f8f54f098d2d0aec7cfa7e12338ab1d1b6ddbc61dea7b6afd",
+    "brown_quad": "039349359714d91e2e532c835737364e086e2211e0e987ab9148a14d40aa3b96",
+    "neg_deriv": "ccf023c293a693e3a257dff255e7754355a742d684bd0c865edd94f2a0d2a67a",
+}
+CHAIN_DIGESTS = {
+    "identity": "a7c68e537f36a900c10454d04f8b6c2cd36307e518844a6add378e0447653eb2",
+    "example2": "e3cdced6ecefc807484c28b3700d1511b61f2d8227fe8affb7cac6fd9f375d88",
+    "mobius": "57b81c84adda879fce5c950b7f6c79ddffacd6fe2d00b635b8d8e2bcffd8e4e9",
+    "krzyz": "7e35d94ffbdb76d8807ea037b4ab1ec2e4c9ba781c4c26af66cfd41fe5abe0b2",
+    "exterior_u": "fa17480beb1be1e301472470cef03111684f2e1e3a4df804edeccfaee5ad4ae3",
+    "exterior_pole": "d4f4e883e6f97885d071aa273d9bf2aa282e63e902738920b229d7c765460333",
+    "neg_deriv": "5399699b6d082a0c49f33bb87975bf1e1a91fec01d10d3fd646b71663d795b98",
+}
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("builtin", sorted(VERIFY_DIGESTS))
+def test_verify_report_bytes_are_frozen(builtin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, _ = run_verify(builtin=builtin, grid="24x24", no_timestamp=True)
+    assert _digest(report) == VERIFY_DIGESTS[builtin]
+
+
+@pytest.mark.parametrize("builtin", sorted(CHAIN_DIGESTS))
+def test_chain_report_bytes_are_frozen(builtin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, _ = run_chain(builtin=builtin, grid="16x16", no_timestamp=True)
+    assert _digest(report) == CHAIN_DIGESTS[builtin]
