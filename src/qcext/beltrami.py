@@ -11,7 +11,7 @@ knows nothing about them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -114,19 +114,13 @@ class VerificationVerdict:
     n_points: int
 
     def summary(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mu_ok": self.mu_ok,
-            "orientation_ok": self.orientation_ok,
-            "seam_ok": self.seam_ok,
-            "sup_mu": self.sup_mu,
-            "claimed_k": self.claimed_k,
-            "jacobian_min": self.jacobian_min,
-            "seam_sup_chordal": self.seam.sup_chordal,
-            "seam_sup_abs": self.seam.sup_abs,
-            "degenerate_count": self.degenerate_count,
-            "n_points": self.n_points,
-        }
+        """The report's beltrami section, with the seam gap flattened to its
+        two sups."""
+        out = asdict(self)
+        seam = out.pop("seam")
+        out["seam_sup_chordal"] = seam["sup_chordal"]
+        out["seam_sup_abs"] = seam["sup_abs"]
+        return out
 
 
 # ---------------------------------------------------------------------------

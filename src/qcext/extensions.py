@@ -54,7 +54,7 @@ from .mapexpr import (
     shifted_difference,
     taylor_jet,
 )
-from .sphere import ExtComplex, INFINITY, _point_json, chordal, chordal_array, is_infinity
+from .sphere import ExtComplex, INFINITY, chordal, chordal_array, is_infinity
 
 TAU_SEAM = 1e-9
 SEAM_EPS = 1e-6
@@ -84,8 +84,8 @@ class RadialProfile:
     M: float
 
     def __post_init__(self):
-        if not (isinstance(self.M, (int, float)) and self.M > 1.0):
-            raise ValueError("profile constant M must exceed 1")
+        if not (isinstance(self.M, (int, float)) and 1.0 < self.M < math.inf):
+            raise ValueError("profile constant M must be finite and exceed 1")
 
     def psi(self, r):
         return self.M * r - (self.M - 1.0)
@@ -184,9 +184,7 @@ class ExtendedMap:
             "inner": print_expr(self.inner.root),
             "inner_region": self.inner_region,
             "outer": {"id": self.outer_id, "params": dict(self.outer_params)},
-            "special_points": [
-                [_point_json(s), _point_json(i)] for s, i in self.special_points
-            ],
+            "special_points": self.special_points,
             "claimed_k": self.claimed_k,
         }
 

@@ -340,19 +340,6 @@ def chain_eval_array(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
         return np.where(Z == 0, 0j, out)
 
 
-def herglotz_eval(spec: LoewnerChainSpec, z: ExtComplex, t: float) -> complex:
-    """p(z,t) in closed form; p(0,t) = 1."""
-    if is_infinity(z):
-        raise PreconditionError("herglotz_eval is defined on the disc")
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0j
-    val = herglotz_array(spec, np.array([z]), np.array([t]))[0]
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise ChainSingularityError(z, t)
-    return complex(val)
-
-
 def herglotz_array(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
     """Vectorized closed-form p(z,t).  IEEE semantics on grids."""
     Z = np.asarray(Z, dtype=np.complex128)

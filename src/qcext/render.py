@@ -80,6 +80,8 @@ def _hsv_bytes(h: np.ndarray, s: np.ndarray, v: np.ndarray, rgb: np.ndarray) -> 
 def _pixel_window(resolution: int, window: float):
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [1, {MAX_RESOLUTION}]")
+    if not 0.0 < window < np.inf:
+        raise ValueError(f"window must be finite and positive, got {window}")
     xs = (np.arange(resolution) + 0.5) / resolution * 2.0 * window - window
     # rows run top-down
     Z = xs[None, :] + 1j * (-xs[:, None])
@@ -132,7 +134,7 @@ def render_grid_image(
 ) -> np.ndarray:
     """Forward-rasterized image of a polar grid: circles |z| = r and radial
     rays, pushed through the map."""
-    _pixel_window(resolution, window)  # validates resolution
+    _pixel_window(resolution, window)  # validates resolution and window
     buf = np.empty((resolution, resolution, 3), dtype=np.uint8)
     buf[:] = BACKGROUND
     n_dense = 8 * resolution

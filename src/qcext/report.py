@@ -34,7 +34,7 @@ from .extensions import (
 from .grids import GridSpec
 from .loewner import T_MAX, ChainGrid, build_chain, check_theorem_A
 from .mapexpr import MapExpr, parse_map, taylor_jet
-from .sphere import _point_json
+from .sphere import INFINITY
 from .version import VERSION
 
 EXIT_PASS = 0
@@ -71,9 +71,12 @@ def _num(x: float) -> str:
 
 
 def dump_json(obj) -> str:
-    """Compact JSON with 17-significant-digit floats and sorted keys."""
+    """Compact JSON with 17-significant-digit floats and sorted keys; a
+    sphere point is "infinity" or [re, im]."""
     if obj is None:
         return "null"
+    if obj is INFINITY:
+        return '"infinity"'
     if obj is True:
         return "true"
     if obj is False:
@@ -97,18 +100,6 @@ def dump_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _verdict_json(v: ClassVerdict) -> dict:
-    return {
-        "class_name": v.class_name,
-        "holds": v.holds,
-        "worst_point": _point_json(v.worst_point),
-        "worst_value": v.worst_value,
-        "margin": v.margin,
-        "bound": v.bound,
-        "n_samples": v.n_samples,
-    }
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     map_text: str
@@ -127,21 +118,12 @@ class VerificationReport:
     extended_map: Optional[ExtendedMap] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        out = {
-            "schema": self.schema,
-            "tool_version": self.tool_version,
-            "map": self.map_text,
-            "class_verdicts": [_verdict_json(v) for v in self.class_verdicts],
-            "extension": self.extension,
-            "beltrami": self.beltrami,
-            "loewner": self.loewner,
-            "overall": self.overall,
-            "grid": self.grid,
-            "wall_time_ms": self.wall_time_ms,
-            "notes": list(self.notes),
-        }
-        if self.timestamp is not None:
-            out["timestamp"] = self.timestamp
+        # the built extension is never serialized, so asdict skips its tree
+        out = dataclasses.asdict(dataclasses.replace(self, extended_map=None))
+        del out["extended_map"]
+        out["map"] = out.pop("map_text")
+        if self.timestamp is None:
+            del out["timestamp"]
         return out
 
     def to_json(self) -> str:

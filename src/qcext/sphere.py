@@ -46,14 +46,6 @@ def is_infinity(v: object) -> bool:
     return v is INFINITY
 
 
-def _point_json(v: ExtComplex):
-    """A sphere point for a JSON report: "infinity" or [re, im]."""
-    if is_infinity(v):
-        return "infinity"
-    v = complex(v)
-    return [v.real, v.imag]
-
-
 def as_ext(v: complex) -> ExtComplex:
     """Collapse non-finite floats (overflow results) onto INFINITY."""
     if isinstance(v, _Infinity):

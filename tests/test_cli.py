@@ -127,6 +127,31 @@ def test_chain_refuses_a_horizon_past_double_range(tmax, capsys):
     assert "qcext: warning:" not in captured.err
 
 
+@pytest.mark.parametrize("M", ["inf", "nan", "1"])
+def test_verify_refuses_a_profile_constant_that_is_not_finite_above_one(M, capsys):
+    argv = ["verify", "--builtin", "p_mobius", "--param", f"M={M}", "--no-timestamp"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "qcext: profile constant M must be finite and exceed 1\n"
+
+
+@pytest.mark.parametrize("style", ["grid", "domaincolor"])
+@pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
+def test_render_refuses_a_window_that_is_not_finite_and_positive(
+    window, style, tmp_path, capsys
+):
+    image = tmp_path / "x.ppm"
+    argv = ["render", "--builtin", "example2", "--image", str(image)]
+    code = main(argv + ["--resolution", "8", "--style", style, "--window", window])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("qcext: window must be finite and positive")
+    assert captured.err.count("\n") == 1
+    assert not image.exists()
+
+
 EXTERIOR_POLE_WARNING = (
     "qcext: warning: exterior map with leading coefficient (-1+0j); "
     "the construction and its chain tolerate any unimodular one\n"

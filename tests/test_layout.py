@@ -4,7 +4,8 @@ The benchmark tracer names qcext layers by module and attribute path:
 perfbench/tracing.py wraps each SPANS target at run time, and a target that
 no longer resolves would make a traced run fail.  The tracer is loaded from
 its file, so this test needs nothing from perfbench on the import path.
-Every module but __init__.py uses each name it imports.
+Every module but __init__.py uses each name it imports, and every top-level
+private name is used somewhere in the package outside its own definition.
 """
 
 import ast
@@ -53,4 +54,41 @@ def test_no_unused_imports_in_the_package():
             for name, line in imported.items()
             if name not in used and name != "annotations"
         ]
+    assert not unused, unused
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a top-level _name is module-internal or shared within qcext only, so a
+    # definition nothing else in the package names is dead code
+    src = Path(__file__).resolve().parents[1] / "src" / "qcext"
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))
+    }
+    uses = []  # (module, line, name)
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.append((mod, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((mod, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                uses += [(mod, node.lineno, a.name) for a in node.names]
+    unused = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(
+                    n == name and not (m == mod and line in span) for m, line, n in uses
+                ):
+                    unused.append(f"{mod}:{node.lineno} {name}")
     assert not unused, unused

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from qcext.corpus import BUILTINS, THEOREM_CLASS, class_params_for
@@ -14,6 +15,7 @@ from qcext.report import (
     run_verify,
 )
 from qcext.mapexpr import parse_map
+from qcext.sphere import INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +30,10 @@ def test_dump_json_numbers():
     assert dump_json(1 + 2j) == "[1,2]"
     assert dump_json({"b": 1, "a": [True, None]}) == '{"a":[true,null],"b":1}'
     assert dump_json('he said "hi"\n') == '"he said \\"hi\\"\\n"'
+    # sphere points: the point at infinity, and [re, im] with the zero's sign
+    assert dump_json(INFINITY) == '"infinity"'
+    assert dump_json(np.complex128(complex(-0.0, 1.0))) == "[-0,1]"
+    assert dump_json(((INFINITY, 0.5 + 0j),)) == '[["infinity",[0.5,0]]]'
 
 
 def test_report_json_is_valid_json():
