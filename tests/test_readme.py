@@ -21,6 +21,7 @@ def _cli_examples():
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     examples = []
+    ids = set()
     for block in re.findall(r"```sh\n(.*?)```", section, flags=re.S):
         parts = re.split(r"^\$ (.*)\n", block, flags=re.M)
         steps = list(zip(parts[1::2], parts[2::2]))
@@ -31,9 +32,13 @@ def _cli_examples():
             if i + 1 < len(steps) and steps[i + 1][0] == "echo $?":
                 code = int(steps[i + 1][1])
             argv = shlex.split(command)[1:]
-            examples.append(
-                pytest.param(argv, out.splitlines(), code, id=" ".join(argv[:3]))
-            )
+            # An example whose first three words repeat an earlier one's is
+            # named by its whole command, so the earlier name stays put.
+            name = " ".join(argv[:3])
+            if name in ids:
+                name = " ".join(argv)
+            ids.add(name)
+            examples.append(pytest.param(argv, out.splitlines(), code, id=name))
     return examples
 
 
