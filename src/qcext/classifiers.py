@@ -41,7 +41,6 @@ from .mapexpr import (
     MapExpr,
     Mul,
     Pow,
-    SeriesJet,
     Sub,
     Var,
     const_text,
@@ -54,7 +53,6 @@ from .mapexpr import (
     print_expr,
     residue_at,
     series_inv,
-    series_mul,
     taylor_jet,
 )
 from .sphere import INFINITY, ExtComplex, is_infinity
@@ -155,25 +153,6 @@ def u_operator(f: MapExpr, z: ExtComplex) -> ExtComplex:
 def u_field(f: MapExpr, Z: np.ndarray) -> np.ndarray:
     """Vectorized (z/f)^2 f' - 1 on a finite grid (IEEE semantics)."""
     return eval_array(u_expr(f), Z)
-
-
-def u_jet(f: MapExpr, order: int = 4) -> SeriesJet:
-    """Taylor jet of U_f at 0 for normalized f (handles the z/f quotient by
-    cancelling the shared zero at the origin)."""
-    jf = taylor_jet(f, order + 1)
-    c = np.array(jf.coeffs)
-    if c[0] != 0:
-        raise PreconditionError("u_jet expects f(0) = 0")
-    shifted = c[1:]  # series of f(z)/z
-    if shifted[0] == 0:
-        raise PreconditionError("u_jet expects f'(0) != 0")
-    zf = series_inv(shifted[: order + 1])  # series of z/f
-    fp = np.array(
-        [(j + 1) * jf[j + 1] for j in range(order + 1)], dtype=complex
-    )
-    u = series_mul(series_mul(zf, zf), fp)
-    u[0] -= 1.0
-    return SeriesJet(0j, tuple(complex(v) for v in u))
 
 
 @functools.lru_cache(maxsize=256)

@@ -86,6 +86,9 @@ class RadialProfile:
     def __post_init__(self):
         if not (isinstance(self.M, (int, float)) and 1.0 < self.M < math.inf):
             raise ValueError("profile constant M must be finite and exceed 1")
+        # the claimed bound (M^2 - 1)/(M^2 + 1) needs a finite M^2
+        if not self.M * self.M < math.inf:
+            raise ValueError(f"profile constant M = {self.M!r} is too large: M^2 overflows")
 
     def psi(self, r):
         return self.M * r - (self.M - 1.0)

@@ -18,10 +18,11 @@ significant digits, and re-parsing it reproduces the identical tree.  Parse
 errors carry the byte offset of the offending character; at end of input the
 offset is clamped onto the last byte.
 
-Evaluation happens on the Riemann sphere: a division whose denominator
-underflows below ``TAU_POLE`` relative to its numerator yields ``INFINITY``,
-and evaluation at ``INFINITY`` goes through the chart w = 1/z (implemented
-exactly on the rational normal form P/Q).
+Scalar evaluation happens on the Riemann sphere and reads the rational
+normal form P/Q of the map: at a finite point it is safe_div(P(z), Q(z)), so
+a denominator below ``TAU_POLE`` relative to the numerator yields
+``INFINITY``, and at ``INFINITY`` it is the limit the degrees of P and Q
+give.  Array evaluation walks the tree under IEEE semantics.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ from .sphere import (
     INFINITY,
     ExtComplex,
     SphereArithmeticError,
-    ext_add,
-    ext_mul,
-    ext_neg,
-    ext_pow,
-    ext_sub,
     is_infinity,
     safe_div,
 )
@@ -368,35 +364,24 @@ def _root(m: MapExpr | Node) -> Node:
 
 
 def eval_map(m: MapExpr | Node, z: ExtComplex) -> ExtComplex:
-    """Evaluate on the sphere.  Poles return INFINITY; indeterminate forms
-    raise EvalError."""
-    node = _root(m)
+    """Evaluate on the sphere from the rational normal form P/Q.  Poles
+    return INFINITY; indeterminate forms raise EvalError."""
+    p, q = rational_form(m)
+    dp, dq = _degree(p), _degree(q)
+    if dq < 0:
+        raise EvalError("denominator is identically zero")
     if is_infinity(z):
-        return eval_at_infinity(node)
+        # the limit along the chart w = 1/z
+        if dp > dq:
+            return INFINITY
+        return complex(p[dp] / q[dq]) if dp == dq else 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        pz = np.polynomial.polynomial.polyval(complex(z), p)
+        qz = np.polynomial.polynomial.polyval(complex(z), q)
     try:
-        return _ev(node, complex(z))
+        return safe_div(pz, qz)
     except SphereArithmeticError as exc:
         raise EvalError(str(exc)) from exc
-
-
-def _ev(node: Node, z: complex) -> ExtComplex:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Neg):
-        return ext_neg(_ev(node.child, z))
-    if isinstance(node, Add):
-        return ext_add(_ev(node.left, z), _ev(node.right, z))
-    if isinstance(node, Sub):
-        return ext_sub(_ev(node.left, z), _ev(node.right, z))
-    if isinstance(node, Mul):
-        return ext_mul(_ev(node.left, z), _ev(node.right, z))
-    if isinstance(node, Div):
-        return safe_div(_ev(node.left, z), _ev(node.right, z))
-    if isinstance(node, Pow):
-        return ext_pow(_ev(node.base, z), node.exponent)
-    raise TypeError(f"not a node: {node!r}")
 
 
 def eval_array(m: MapExpr | Node, Z: np.ndarray) -> np.ndarray:
@@ -534,21 +519,6 @@ def _rational(node: Node) -> tuple[np.ndarray, np.ndarray]:
 def _degree(p: np.ndarray) -> int:
     nz = np.nonzero(p)[0]
     return int(nz[-1]) if nz.size else -1
-
-
-def eval_at_infinity(m: MapExpr | Node) -> ExtComplex:
-    """Limit along the chart w = 1/z, computed exactly from P/Q degrees."""
-    p, q = rational_form(m)
-    dp, dq = _degree(p), _degree(q)
-    if dq < 0:
-        raise EvalError("denominator is identically zero")
-    if dp < 0:
-        return 0j
-    if dp > dq:
-        return INFINITY
-    if dp < dq:
-        return 0j
-    return complex(p[dp] / q[dq])
 
 
 def residue_at(m: MapExpr | Node, p0: complex) -> complex:

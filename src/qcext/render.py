@@ -80,8 +80,11 @@ def _hsv_bytes(h: np.ndarray, s: np.ndarray, v: np.ndarray, rgb: np.ndarray) -> 
 def _pixel_window(resolution: int, window: float):
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [1, {MAX_RESOLUTION}]")
-    if not 0.0 < window < np.inf:
-        raise ValueError(f"window must be finite and positive, got {window}")
+    # the pixel coordinates below scale by 2 * window, which must stay finite
+    if not 0.0 < 2.0 * float(window) < np.inf:
+        raise ValueError(
+            f"window must be finite and positive, with 2 * window finite, got {window}"
+        )
     xs = (np.arange(resolution) + 0.5) / resolution * 2.0 * window - window
     # rows run top-down
     Z = xs[None, :] + 1j * (-xs[:, None])

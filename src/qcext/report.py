@@ -14,8 +14,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .beltrami import FieldGrid, certify_qc
-from .classifiers import ClassVerdict, check_class, u_jet
+from .classifiers import ClassVerdict, check_class
 from .corpus import THEOREM_CLASS, THEOREMS, class_params_for, get_builtin
 from .errors import PreconditionError
 from .extensions import (
@@ -33,7 +35,7 @@ from .extensions import (
 )
 from .grids import GridSpec
 from .loewner import T_MAX, ChainGrid, build_chain, check_theorem_A
-from .mapexpr import MapExpr, parse_map, taylor_jet
+from .mapexpr import MapExpr, parse_map, rational_form, shifted_difference, taylor_jet
 from .sphere import INFINITY
 from .version import VERSION
 
@@ -41,9 +43,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
-
-# _mobius_a2: U_f vanishes identically when its jet at 0 is this small
-TAU_U_VANISHES = 1e-9
 
 CHAIN_KINDS_SHORT = {
     "thm2": "thm2_eq3",
@@ -182,11 +181,16 @@ def _wall(t0: float, no_timestamp: bool) -> float:
 
 
 def _mobius_a2(f: MapExpr) -> Optional[complex]:
-    """a2 of f when the small functional U_f vanishes identically (a disc
-    automorphism denominator), else None."""
-    if max(abs(c) for c in u_jet(f, 6)) > TAU_U_VANISHES:
+    """a2 of f when f is z/(1 - a2 z), so that the small functional U_f
+    vanishes identically (a disc automorphism denominator), else None.
+
+    Decided on the rational normal form P/Q: z Q - (1 - a2 z) P must vanish
+    to TAU_COEFF_DUST of its coefficient scale."""
+    a2 = complex(taylor_jet(f, 6)[2])
+    P, Q = rational_form(f)
+    if np.any(shifted_difference(Q, np.convolve(P, [1.0, -a2]))):
         return None
-    return complex(taylor_jet(f, 6)[2])
+    return a2
 
 
 def _require_mobius_a2(f: MapExpr) -> complex:

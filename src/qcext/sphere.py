@@ -39,7 +39,7 @@ ExtComplex = Union[complex, _Infinity]
 
 
 class SphereArithmeticError(ArithmeticError):
-    """An indeterminate sphere operation: 0/0, inf - inf, 0 * inf, inf^0."""
+    """An indeterminate sphere quotient: 0/0, inf/inf, or a nan value."""
 
 
 def is_infinity(v: object) -> bool:
@@ -80,68 +80,6 @@ def safe_div(num: ExtComplex, den: ExtComplex) -> ExtComplex:
     if ad <= TAU_POLE * an:
         return INFINITY
     return as_ext(num / den)
-
-
-def ext_add(a: ExtComplex, b: ExtComplex) -> ExtComplex:
-    if is_infinity(a) and is_infinity(b):
-        raise SphereArithmeticError("inf + inf")
-    if is_infinity(a) or is_infinity(b):
-        return INFINITY
-    return as_ext(complex(a) + complex(b))
-
-
-def ext_sub(a: ExtComplex, b: ExtComplex) -> ExtComplex:
-    if is_infinity(a) and is_infinity(b):
-        raise SphereArithmeticError("inf - inf")
-    if is_infinity(a) or is_infinity(b):
-        return INFINITY
-    return as_ext(complex(a) - complex(b))
-
-
-def ext_neg(a: ExtComplex) -> ExtComplex:
-    if is_infinity(a):
-        return INFINITY
-    return -complex(a)
-
-
-def ext_mul(a: ExtComplex, b: ExtComplex) -> ExtComplex:
-    if is_infinity(a) or is_infinity(b):
-        other = b if is_infinity(a) else a
-        if not is_infinity(other) and complex(other) == 0:
-            raise SphereArithmeticError("0 * inf")
-        return INFINITY
-    return as_ext(complex(a) * complex(b))
-
-
-def ext_pow(a: ExtComplex, n: int) -> ExtComplex:
-    if is_infinity(a):
-        if n > 0:
-            return INFINITY
-        if n < 0:
-            return 0j
-        raise SphereArithmeticError("inf ^ 0")
-    base = complex(a)
-    if n == 0:
-        return 1 + 0j
-    if n < 0:
-        return safe_div(1 + 0j, ext_pow(base, -n))
-    # binary exponentiation, overflow folded onto INFINITY
-    result: ExtComplex = 1 + 0j
-    acc: ExtComplex = base
-    m = n
-    while m:
-        if m & 1:
-            result = ext_mul(result, acc)
-            if is_infinity(result):
-                return INFINITY
-        m >>= 1
-        if m:
-            acc = ext_mul(acc, acc)
-            if is_infinity(acc):
-                # remaining factors of acc only push further toward infinity
-                # unless result is 0, which ext_mul would have rejected
-                return INFINITY
-    return result
 
 
 def chordal(a: ExtComplex, b: ExtComplex) -> float:

@@ -12,7 +12,6 @@ from qcext.classifiers import (
     phi_from_map,
     seam_bound,
     u_field,
-    u_jet,
     u_operator,
 )
 from qcext.errors import PreconditionError
@@ -164,21 +163,6 @@ def test_inversion_transfers_u_to_derivative():
         lhs = eval_map(dg, zeta) - 1.0
         rhs = u_operator(EX2, 1.0 / zeta)
         assert abs(lhs - rhs) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# u_jet
-
-
-def test_u_jet_of_example():
-    jet = u_jet(EX2, 4)
-    want = (0j, 0j, -0.5 + 0j, 0j, 0j)
-    assert np.max(np.abs(np.array(jet.coeffs) - np.array(want))) < 1e-12
-
-
-def test_u_jet_rejects_unnormalized_origin():
-    with pytest.raises(PreconditionError):
-        u_jet(parse_map("1+z"))
 
 
 # ---------------------------------------------------------------------------

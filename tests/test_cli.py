@@ -137,8 +137,37 @@ def test_verify_refuses_a_profile_constant_that_is_not_finite_above_one(M, capsy
     assert captured.err == "qcext: profile constant M must be finite and exceed 1\n"
 
 
+def test_verify_refuses_a_profile_constant_whose_square_overflows(capsys):
+    argv = ["verify", "--builtin", "p_mobius", "--param", "M=1e200", "--no-timestamp"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "qcext: profile constant M = 1e+200 is too large: M^2 overflows\n"
+
+
+@pytest.mark.parametrize("theorem", ["convex", "psi"])
+def test_verify_near_mobius_map_under_a_mobius_theorem_exits_two(theorem, capsys):
+    # U_f's jet at 0 vanishes to order 6 here, but f is not z/(1 - a2 z)
+    argv = ["verify", "--map", "z/(1-0.5*z)+0.001*z^9", "--theorem", theorem]
+    code = main(argv + ["--grid", "24x24", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "vanishes identically" in captured.err
+
+
+def test_overflowing_map_exits_three_without_numpy_warnings(capsys):
+    code = main(["verify", "--map", "z^40/(z^39+0.1)", "--theorem", "t4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("qcext: numerical failure")
+    assert "overflow encountered" not in captured.err
+    assert "qcext: warning:" not in captured.err
+
+
 @pytest.mark.parametrize("style", ["grid", "domaincolor"])
-@pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("window", ["0", "-1", "nan", "inf", "1e308"])
 def test_render_refuses_a_window_that_is_not_finite_and_positive(
     window, style, tmp_path, capsys
 ):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qcext.classifiers import u_expr
+from qcext.corpus import builtin_ids, get_builtin
 from qcext.mapexpr import (
     Add,
     Const,
@@ -178,6 +180,33 @@ def test_eval_indeterminate_raises():
     m = MapExpr(Div(Var(), Var()))
     with pytest.raises(EvalError):
         eval_map(m, 0j)
+
+
+def test_eval_cancelled_pole_is_indeterminate():
+    # P = 0 and Q = (z - 0.5)^2 in the normal form: 0/0 at z = 0.5
+    m = parse_map("1/(z-0.5)-1/(z-0.5)")
+    with pytest.raises(EvalError):
+        eval_map(m, 0.5 + 0j)
+    assert eval_map(m, 0.2 + 0j) == 0j
+
+
+def _seeded_points(lo, hi, n=64, seed=14):
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(lo, hi, n)
+    return r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+
+@pytest.mark.parametrize("builtin", builtin_ids())
+def test_eval_map_matches_eval_array_on_every_builtin(builtin):
+    # the scalar path reads P/Q, the array path walks the tree
+    # U_f = (z/f)^2 f' - 1 subtracts 1 from a term near 1, so its rounding
+    # scale is |U_f| + 1; it vanishes identically on identity and mobius
+    f = parse_map(get_builtin(builtin).text())
+    Z = np.concatenate([_seeded_points(0.0, 0.95), _seeded_points(1.05, 10.0)])
+    for m, offset in ((f, 0.0), (derive(f), 0.0), (u_expr(f), 1.0)):
+        for z, w in zip(Z, eval_array(m, Z)):
+            got = eval_map(m, complex(z))
+            assert abs(got - w) <= 1e-12 * (abs(w) + offset), (print_expr(m.root), z)
 
 
 def test_eval_at_infinity_finite_limit():

@@ -165,6 +165,14 @@ def test_theorem_dispatch_splits_on_vanishing_functional():
     assert em.outer_id == "radial_profile"
 
 
+def test_t1_extends_a_near_mobius_map_itself():
+    # U_f's jet at 0 vanishes to order 6 here, but f is not z/(1 - a2 z)
+    f = parse_map("z/(1-0.5*z)+0.001*z^9")
+    em = build_extension("t1", f, {})
+    assert em.outer_id == "phi_reflection"
+    assert em.inner == f
+
+
 # ---------------------------------------------------------------------------
 # chain pipeline
 
