@@ -37,7 +37,6 @@ from .mapexpr import (
     TAU_NORMALIZED,
     Const,
     Div,
-    EvalError,
     MapExpr,
     Mul,
     Pow,
@@ -51,7 +50,6 @@ from .mapexpr import (
     parse_map,
     poles_in_disc,
     print_expr,
-    residue_at,
     series_inv,
     taylor_jet,
 )
@@ -127,29 +125,6 @@ def u_expr(f: MapExpr) -> MapExpr:
     return MapExpr(root)
 
 
-def u_operator(f: MapExpr, z: ExtComplex) -> ExtComplex:
-    """U_f(z) on the sphere, with the removable points filled in:
-    U at a simple pole p is -p^2/residue - 1, U(0) is 1/f'(0) - 1 when
-    f(0) = 0.  A zero of f away from the origin is an error."""
-    if is_infinity(z):
-        return eval_map(u_expr(f), INFINITY)
-    z = complex(z)
-    if z == 0:
-        jet = taylor_jet(f, 2)
-        if jet[0] == 0:
-            if jet[1] == 0:
-                raise EvalError("f has a multiple zero at 0")
-            return 1.0 / jet[1] - 1.0
-        return -1.0 + 0j
-    w = eval_map(f, z)
-    if w == 0:
-        raise EvalError(f"f vanishes at {z}, U_f undefined there")
-    if is_infinity(w):
-        m = residue_at(f, z)
-        return -z * z / m - 1.0
-    return eval_map(u_expr(f), z)
-
-
 def u_field(f: MapExpr, Z: np.ndarray) -> np.ndarray:
     """Vectorized (z/f)^2 f' - 1 on a finite grid (IEEE semantics)."""
     return eval_array(u_expr(f), Z)
@@ -169,8 +144,9 @@ def phi_from_map(f: MapExpr) -> MapExpr:
         )
     a2 = jet[2]
     phi = parse_map(f"z/{print_expr(f.root)}+{const_text(a2)}*z-1")
-    # jet arithmetic cannot cancel the z/f quotient at 0; verify the
-    # second-order vanishing through the shifted series instead
+    # phi's normal form does not cancel the z/f quotient, so its jet at 0
+    # meets a zero denominator; verify the second-order vanishing through
+    # the shifted series instead
     jf = taylor_jet(f, 3)
     zf = series_inv(np.array(jf.coeffs[1:], dtype=complex))
     phi0 = zf[0] - 1.0

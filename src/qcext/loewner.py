@@ -35,7 +35,6 @@ from .mapexpr import (
     compose,
     derive,
     eval_array,
-    eval_map,
     is_normalized,
     nearest_singularity,
     parse_map,
@@ -44,7 +43,6 @@ from .mapexpr import (
     shifted_difference,
     taylor_jet,
 )
-from .sphere import ExtComplex, is_infinity, safe_div
 
 T_MAX = 5.0
 # chains scale by e^(+-t) and their ratios by e^(+-2t), which leave the
@@ -62,9 +60,6 @@ TAU_THM2_REDUCTION = 1e-10
 # extensions.ext_exterior warns when the krzyz w has |w(0)| above TAU_W0
 TAU_F0 = 1e-12
 TAU_W0 = 1e-9
-# chain_eval: an infinite value closer to the seam than this is a boundary
-# value, not a singularity
-TAU_SEAM_EDGE = 1e-12
 # a1_zero_window: |a1| at most this times max(1, |c_lead|) counts as a zero
 TAU_A1_ZERO = 1e-2
 
@@ -255,56 +250,6 @@ def _stable_ratio(m: MapExpr):
     """
     P, Q = rational_form(m)
     return np.asarray(P, dtype=np.complex128), shifted_difference(Q, P)
-
-
-def chain_eval(spec: LoewnerChainSpec, z: ExtComplex, t: float) -> ExtComplex:
-    """f(z,t) on the sphere.  Hitting a singularity strictly inside the disc
-    raises ChainSingularityError; boundary evaluations may return INFINITY.
-    """
-    if is_infinity(z):
-        raise PreconditionError("chain_eval is defined on the closed disc")
-    z = complex(z)
-    if z == 0:
-        return 0j
-    e, em = math.exp(t), math.exp(-t)
-    s = e - em
-    f = spec.base_map
-    try:
-        if spec.kind == "thm2_eq3":
-            # zF/(z - sF) rewritten over the rational form; at a pole of f
-            # the rewrite degenerates to z/(-s) on its own
-            P, A = _stable_ratio(f)
-            u = em * z
-            Pu = complex(npoly.polyval(u, P))
-            den = e * complex(npoly.polyval(u, A)) + em * Pu
-            val = safe_div(z * Pu, den)
-        elif spec.kind == "thm5_chain":
-            F = eval_map(f, em * z)
-            val = F if is_infinity(F) else F - z * s
-        elif spec.kind == "convex_chain":
-            F = eval_map(f, z)
-            Fp = eval_map(derive(f), z)
-            if is_infinity(F) or is_infinity(Fp):
-                val = F
-            else:
-                val = F + (e - 1.0) * z * Fp
-        elif spec.kind == "krzyz_eq9":
-            W = eval_map(f, em * z)
-            val = safe_div(1 + 0j, W + em / z)
-        else:  # exterior kinds
-            G = eval_map(f, e / z)
-            inv = 0j if is_infinity(G) else safe_div(1 + 0j, G)
-            if is_infinity(inv):
-                val = inv
-            elif spec.kind == "exterior_eq7a1":
-                val = inv + s * z
-            else:
-                val = inv - s * z
-    except ArithmeticError as exc:
-        raise ChainSingularityError(z, t) from exc
-    if is_infinity(val) and abs(z) < 1.0 - TAU_SEAM_EDGE:
-        raise ChainSingularityError(z, t)
-    return val
 
 
 def chain_eval_array(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:

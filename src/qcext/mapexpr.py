@@ -18,11 +18,15 @@ significant digits, and re-parsing it reproduces the identical tree.  Parse
 errors carry the byte offset of the offending character; at end of input the
 offset is clamped onto the last byte.
 
-Scalar evaluation happens on the Riemann sphere and reads the rational
-normal form P/Q of the map: at a finite point it is safe_div(P(z), Q(z)), so
-a denominator below ``TAU_POLE`` relative to the numerator yields
-``INFINITY``, and at ``INFINITY`` it is the limit the degrees of P and Q
-give.  Array evaluation walks the tree under IEEE semantics.
+Every scalar quantity reads the rational normal form P/Q of the map.
+Taylor jets at 0 are the power series of P/Q, and the expansion at infinity
+is the same series of the reversed coefficients, in the chart w = 1/z.
+eval_map works on the Riemann sphere: at a finite z with |z| <= 1 it is
+safe_div(P(z), Q(z)), and for |z| > 1 it divides the reversed polynomials
+at w = 1/z, so Horner's powers stay below 1 in modulus.  A denominator
+below ``TAU_POLE`` relative to the numerator yields ``INFINITY``, and at
+``INFINITY`` the value is the limit the degrees of P and Q give.  Array
+evaluation walks the tree under IEEE semantics.
 """
 
 from __future__ import annotations
@@ -375,9 +379,21 @@ def eval_map(m: MapExpr | Node, z: ExtComplex) -> ExtComplex:
         if dp > dq:
             return INFINITY
         return complex(p[dp] / q[dq]) if dp == dq else 0j
+    z = complex(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        pz = np.polynomial.polynomial.polyval(complex(z), p)
-        qz = np.polynomial.polynomial.polyval(complex(z), q)
+        if abs(z) > 1.0:
+            # m = w^(dq - dp) Prev(w)/Qrev(w); the power of w goes on the
+            # side it shrinks, so it can underflow but never overflow
+            w = 1.0 / z
+            pz = np.polynomial.polynomial.polyval(w, p[dp::-1])
+            qz = np.polynomial.polynomial.polyval(w, q[dq::-1])
+            if dq > dp:
+                pz = pz * w ** (dq - dp)
+            else:
+                qz = qz * w ** (dp - dq)
+        else:
+            pz = np.polynomial.polynomial.polyval(z, p)
+            qz = np.polynomial.polynomial.polyval(z, q)
     try:
         return safe_div(pz, qz)
     except SphereArithmeticError as exc:
@@ -521,18 +537,6 @@ def _degree(p: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else -1
 
 
-def residue_at(m: MapExpr | Node, p0: complex) -> complex:
-    """Residue at a simple pole p0 via P(p0)/Q'(p0).  Informational."""
-    P, Q = rational_form(m)
-    pv = np.polynomial.polynomial.polyval(p0, P)
-    dq = np.polynomial.polynomial.polyval(
-        p0, np.polynomial.polynomial.polyder(Q)
-    )
-    if dq == 0:
-        raise EvalError("pole is not simple")
-    return complex(pv / dq)
-
-
 def poles_in_disc(m: MapExpr | Node, radius: float = 1.0) -> list[complex]:
     """Roots of the denominator with |root| < radius, excluding removable
     candidates where the numerator vanishes as well."""
@@ -540,14 +544,13 @@ def poles_in_disc(m: MapExpr | Node, radius: float = 1.0) -> list[complex]:
     if _degree(Q) < 1:
         return []
     roots = np.polynomial.polynomial.polyroots(Q)
+    pscale = max(np.max(np.abs(P)), 1.0)
     out = []
     for r in roots:
         if abs(r) >= radius:
             continue
         pv = np.polynomial.polynomial.polyval(r, P)
-        qscale = np.max(np.abs(Q))
-        pscale = max(np.max(np.abs(P)), 1.0)
-        if abs(pv) <= TAU_REMOVABLE * pscale and qscale > 0:
+        if abs(pv) <= TAU_REMOVABLE * pscale:
             continue  # likely a removable root
         out.append(complex(r))
     out.sort(key=lambda w: (abs(w), w.real, w.imag))
@@ -691,9 +694,8 @@ def compose(m: MapExpr, inner: MapExpr) -> MapExpr:
 
 @dataclass(frozen=True)
 class SeriesJet:
-    """Truncated Taylor expansion around a center: sum c_j (z - center)^j."""
+    """Truncated Taylor expansion at 0: sum c_j z^j."""
 
-    center: complex
     coeffs: tuple[complex, ...]
 
     def __getitem__(self, j: int) -> complex:
@@ -717,62 +719,28 @@ def series_inv(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def series_pow(a: np.ndarray, n: int) -> np.ndarray:
-    if n < 0:
-        return series_pow(series_inv(a), -n)
-    out = np.zeros(len(a), dtype=np.complex128)
-    out[0] = 1.0
-    acc = a.copy()
-    while n:
-        if n & 1:
-            out = series_mul(out, acc)
-        n >>= 1
-        if n:
-            acc = series_mul(acc, acc)
-    return out
+def _series_quotient(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of the power series a/b at 0, from ascending
+    coefficients a and b, each padded with zeros or cut to n terms."""
+    pa = np.zeros(n, dtype=np.complex128)
+    pa[: min(n, len(a))] = a[:n]
+    pb = np.zeros(n, dtype=np.complex128)
+    pb[: min(n, len(b))] = b[:n]
+    return series_mul(pa, series_inv(pb))
 
 
-def _jet_arr(node: Node, J: int, center: complex) -> np.ndarray:
-    zero = np.zeros(J + 1, dtype=np.complex128)
-    if isinstance(node, Const):
-        out = zero.copy()
-        out[0] = node.value
-        return out
-    if isinstance(node, Var):
-        out = zero.copy()
-        out[0] = center
-        if J >= 1:
-            out[1] = 1.0
-        return out
-    if isinstance(node, Neg):
-        return -_jet_arr(node.child, J, center)
-    if isinstance(node, Add):
-        return _jet_arr(node.left, J, center) + _jet_arr(node.right, J, center)
-    if isinstance(node, Sub):
-        return _jet_arr(node.left, J, center) - _jet_arr(node.right, J, center)
-    if isinstance(node, Mul):
-        return series_mul(
-            _jet_arr(node.left, J, center), _jet_arr(node.right, J, center)
-        )
-    if isinstance(node, Div):
-        return series_mul(
-            _jet_arr(node.left, J, center),
-            series_inv(_jet_arr(node.right, J, center)),
-        )
-    if isinstance(node, Pow):
-        return series_pow(_jet_arr(node.base, J, center), node.exponent)
-    raise TypeError(f"not a node: {node!r}")
+def taylor_jet(m: MapExpr | Node, order: int) -> SeriesJet:
+    """Taylor coefficients c_0..c_order at 0, the power series of the
+    rational normal form P/Q.
 
-
-def taylor_jet(m: MapExpr | Node, order: int, center: complex = 0j) -> SeriesJet:
-    """Taylor coefficients c_0..c_order at the center (jet arithmetic).
-
-    Raises PoleAtCenterError when the center sits on a pole.
+    Raises PoleAtCenterError when Q(0) is (numerically) zero, a removable
+    zero of P and Q included.
     """
     if order < 2:
         raise ValueError("jet order must be at least 2")
-    coeffs = _jet_arr(_root(m), order, complex(center))
-    return SeriesJet(complex(center), tuple(complex(c) for c in coeffs))
+    P, Q = rational_form(m)
+    coeffs = _series_quotient(P, Q, order + 1)
+    return SeriesJet(tuple(complex(c) for c in coeffs))
 
 
 def laurent_at_infinity(m: MapExpr | Node, order: int) -> tuple[int, np.ndarray]:
@@ -788,21 +756,13 @@ def laurent_at_infinity(m: MapExpr | Node, order: int) -> tuple[int, np.ndarray]
     if dp < 0:
         return 0, np.zeros(order + 1, dtype=np.complex128)
     # in the chart w = 1/z:  m = w^(dq - dp) * Prev(w)/Qrev(w)
-    prev = P[dp::-1].astype(np.complex128)
-    qrev = Q[dq::-1].astype(np.complex128)
-    n = order + 1
-    a = np.zeros(n, dtype=np.complex128)
-    a[: min(n, len(prev))] = prev[:n]
-    b = np.zeros(n, dtype=np.complex128)
-    b[: min(n, len(qrev))] = qrev[:n]
-    series = series_mul(a, series_inv(b))
-    return dp - dq, series
+    return dp - dq, _series_quotient(P[dp::-1], Q[dq::-1], order + 1)
 
 
 def is_normalized(m: MapExpr | Node) -> bool:
     """True when the jet at 0 starts z + O(z^2)."""
     try:
         jet = taylor_jet(m, 2)
-    except PoleAtCenterError:
+    except (PoleAtCenterError, EvalError):
         return False
     return abs(jet[0]) <= TAU_NORMALIZED and abs(jet[1] - 1.0) <= TAU_NORMALIZED

@@ -46,23 +46,12 @@ def is_infinity(v: object) -> bool:
     return v is INFINITY
 
 
-def as_ext(v: complex) -> ExtComplex:
-    """Collapse non-finite floats (overflow results) onto INFINITY."""
-    if isinstance(v, _Infinity):
-        return v
-    v = complex(v)
-    if not (cmath.isfinite(v)):
-        if cmath.isnan(v.real) and cmath.isnan(v.imag):
-            raise SphereArithmeticError("indeterminate value (nan)")
-        return INFINITY
-    return v
-
-
 def safe_div(num: ExtComplex, den: ExtComplex) -> ExtComplex:
     """Divide on the sphere.
 
     A finite quotient whose denominator magnitude falls below
-    ``TAU_POLE * |num|`` is reported as INFINITY; the exact 0/0 case raises
+    ``TAU_POLE * |num|`` is reported as INFINITY, and so is a quotient that
+    overflows; the exact 0/0 case and a nan quotient raise
     :class:`SphereArithmeticError`.
     """
     ninf, dinf = is_infinity(num), is_infinity(den)
@@ -79,7 +68,12 @@ def safe_div(num: ExtComplex, den: ExtComplex) -> ExtComplex:
         raise SphereArithmeticError("0 / 0")
     if ad <= TAU_POLE * an:
         return INFINITY
-    return as_ext(num / den)
+    v = num / den
+    if cmath.isfinite(v):
+        return v
+    if cmath.isnan(v.real) and cmath.isnan(v.imag):
+        raise SphereArithmeticError("indeterminate value (nan)")
+    return INFINITY
 
 
 def chordal(a: ExtComplex, b: ExtComplex) -> float:

@@ -11,8 +11,8 @@ from qcext.classifiers import (
     check_class,
     phi_from_map,
     seam_bound,
+    u_expr,
     u_field,
-    u_operator,
 )
 from qcext.errors import PreconditionError
 from qcext.extensions import _recover_w, ext_brown, ext_exterior, ext_thm2, ext_thm5
@@ -20,7 +20,6 @@ from qcext.grids import GridSpec
 from qcext.loewner import build_chain
 from qcext.mapexpr import (
     Div,
-    EvalError,
     MapExpr,
     Var,
     derive,
@@ -40,52 +39,47 @@ G_KRZYZ = parse_map("z+0.5/z")
 
 
 # ---------------------------------------------------------------------------
-# u_operator
+# U_f
+
+
+def _u(f, z):
+    """U_f(z) from a one-point u_field."""
+    return complex(u_field(f, np.array([z]))[0])
 
 
 def test_u_identity_vanishes():
-    for z in (0.5 + 0j, -0.2 + 0.7j, 0j):
-        assert abs(u_operator(IDENTITY, z)) < 1e-14
+    for z in (0.5 + 0j, -0.2 + 0.7j):
+        assert abs(_u(IDENTITY, z)) < 1e-14
 
 
 def test_u_example_quadratic():
-    got = u_operator(EX2, 0.5 + 0j)
+    got = _u(EX2, 0.5 + 0j)
     assert abs(got - (-0.125)) < 1e-12
 
 
 def test_u_koebe_is_minus_z_squared():
-    got = u_operator(KOEBE, 0.3 + 0j)
+    got = _u(KOEBE, 0.3 + 0j)
     assert abs(got - (-0.09)) < 1e-12
     for z in (0.7j, -0.5 + 0.2j):
-        assert abs(u_operator(KOEBE, z) + z * z) < 1e-12
+        assert abs(_u(KOEBE, z) + z * z) < 1e-12
 
 
-def test_u_at_origin_of_normalized_map():
-    assert abs(u_operator(EX2, 0j)) < 1e-14
-
-
-def test_u_at_interior_pole_uses_residue_limit():
-    # for the pole-in-disc family the removable value is exactly -lam*p^2
-    got = u_operator(EX3, 0.5 + 0j)
-    assert abs(got - (-0.125)) < 1e-12
-
-
-def test_u_errors_on_zero_away_from_origin():
+def test_u_has_a_pole_at_a_zero_away_from_origin():
     m = parse_map("z*(1-z)")
-    with pytest.raises(EvalError):
-        u_operator(m, 1 + 0j)
+    assert is_infinity(eval_map(u_expr(m), 1 + 0j))
+    assert not np.isfinite(_u(m, 1 + 0j))
 
 
 def test_u_at_infinity_of_exterior_map():
     # g = z + 0.12/z has leading coefficient 1, so U_g vanishes at infinity
-    assert abs(u_operator(G_U, INFINITY)) < 1e-14
+    assert abs(eval_map(u_expr(G_U), INFINITY)) < 1e-14
 
 
 def test_u_field_matches_scalar():
     Z = np.array([0.3 + 0.1j, -0.2 + 0.5j, 0.8 + 0j])
     U = u_field(EX2, Z)
     for z, u in zip(Z, U):
-        assert abs(u - u_operator(EX2, complex(z))) < 1e-12
+        assert abs(u - eval_map(u_expr(EX2), complex(z))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +120,9 @@ def _phi_identity_residual(f: MapExpr, n_points: int = 1000) -> float:
         2j * np.pi * rng.uniform(0, 1, n_points)
     )
     worst = 0.0
-    for z in pts:
+    for z, u in zip(pts, u_field(f, pts)):
         z = complex(z)
-        try:
-            u = u_operator(f, z)
-        except EvalError:
-            continue
-        if is_infinity(u):
+        if not np.isfinite(u):
             continue
         rhs = eval_map(phi, z) - z * eval_map(dphi, z)
         worst = max(worst, abs(u - rhs))
@@ -150,7 +140,7 @@ def test_u_equals_minus_z2_times_phi_over_z_derivative():
         quotient = MapExpr(Div(phi.root, Var()))
         dq = derive(quotient)
         for z in (0.4 + 0.2j, -0.3 + 0.5j, 0.8j):
-            lhs = u_operator(f, z)
+            lhs = _u(f, z)
             rhs = -z * z * eval_map(dq, z)
             assert abs(lhs - rhs) < 1e-10
 
@@ -161,7 +151,7 @@ def test_inversion_transfers_u_to_derivative():
     dg = derive(g)
     for zeta in (1.5 + 0j, 2 - 3j, -1.2 + 0.1j):
         lhs = eval_map(dg, zeta) - 1.0
-        rhs = u_operator(EX2, 1.0 / zeta)
+        rhs = _u(EX2, 1.0 / zeta)
         assert abs(lhs - rhs) < 1e-10
 
 

@@ -157,11 +157,12 @@ def test_verify_near_mobius_map_under_a_mobius_theorem_exits_two(theorem, capsys
     assert "vanishes identically" in captured.err
 
 
-def test_overflowing_map_exits_three_without_numpy_warnings(capsys):
+def test_overflowing_map_exits_one_without_numpy_warnings(capsys):
+    # P(z) and Q(z) overflow at the |z| = 1e8 chart probe; eval_map reads
+    # the map in the chart w = 1/z there, so the run ends in a verdict
     code = main(["verify", "--map", "z^40/(z^39+0.1)", "--theorem", "t4"])
     captured = capsys.readouterr()
-    assert code == 3
-    assert captured.err.startswith("qcext: numerical failure")
+    assert code == 1
     assert "overflow encountered" not in captured.err
     assert "qcext: warning:" not in captured.err
 

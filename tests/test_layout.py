@@ -4,8 +4,9 @@ The benchmark tracer names qcext layers by module and attribute path:
 perfbench/tracing.py wraps each SPANS target at run time, and a target that
 no longer resolves would make a traced run fail.  The tracer is loaded from
 its file, so this test needs nothing from perfbench on the import path.
-Every module but __init__.py uses each name it imports, and every top-level
-private name is used somewhere in the package outside its own definition.
+Every module but __init__.py uses each name it imports, every top-level
+private name is used somewhere in the package outside its own definition,
+and so is every public one that qcext does not export in __all__.
 """
 
 import ast
@@ -57,9 +58,9 @@ def test_no_unused_imports_in_the_package():
     assert not unused, unused
 
 
-def test_every_private_name_is_used_in_the_package():
-    # a top-level _name is module-internal or shared within qcext only, so a
-    # definition nothing else in the package names is dead code
+def _unused_top_level_names(wanted):
+    """module:line name for each top-level name that wanted(name) selects
+    and that nothing in the package names outside its own definition."""
     src = Path(__file__).resolve().parents[1] / "src" / "qcext"
     trees = {
         p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))
@@ -85,10 +86,29 @@ def test_every_private_name_is_used_in_the_package():
                 continue
             span = range(node.lineno, node.end_lineno + 1)
             for name in names:
-                if not name.startswith("_") or name.startswith("__"):
+                if not wanted(name):
                     continue
                 if not any(
                     n == name and not (m == mod and line in span) for m, line, n in uses
                 ):
                     unused.append(f"{mod}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a top-level _name is module-internal or shared within qcext only, so a
+    # definition nothing else in the package names is dead code
+    unused = _unused_top_level_names(
+        lambda name: name.startswith("_") and not name.startswith("__")
+    )
+    assert not unused, unused
+
+
+def test_every_public_name_is_used_or_exported():
+    # a public top-level name that no other definition uses and qcext does
+    # not export serves only the tests, which is dead code in the package
+    exported = set(importlib.import_module("qcext").__all__)
+    unused = _unused_top_level_names(
+        lambda name: not name.startswith("_") and name not in exported
+    )
     assert not unused, unused
