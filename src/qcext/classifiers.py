@@ -27,7 +27,6 @@ from .errors import PreconditionError
 from .grids import (
     R_DISC,
     GridSpec,
-    argmax_2d,
     disc_grid,
     exterior_grid,
     seam_circle,
@@ -281,9 +280,9 @@ def check_class(
         vals = np.where(np.abs(Z - params.p) < POLE_EXCLUSION, -np.inf, vals)
     chart_val = _chart_value(m, which) if exterior else None
 
-    i, j = argmax_2d(vals)
-    worst_value = float(vals[i, j])
-    worst_point: ExtComplex = complex(Z[i, j])
+    i = int(np.argmax(vals))
+    worst_value = float(vals[i])
+    worst_point: ExtComplex = complex(Z[i])
     n = int(np.sum(np.isfinite(vals) | (vals == np.inf)))
     if chart_val is not None:
         n += 1

@@ -1,11 +1,12 @@
 """Sampling grids on the disc, the exterior disc, and annuli, plus the seam
 circle |z| = 1 and the NaN-tolerant sup taken over it.
 
-Grids are polar tensor products returned as 2-d complex arrays indexed
-(radius, angle).  Criteria over open regions approach the boundary without
-touching it: disc radii stop at ``R_DISC`` = 0.999, exterior radii start at
-``R_EXT_LO`` = 1.001.  When a supremum is taken over a grid, ties resolve to
-the first point in row-major order, so sweeps are deterministic.
+Grids are polar tensor products returned flat, radius-major: point
+j * n_theta + k is radius j at angle k.  Criteria over open regions approach
+the boundary without touching it: disc radii stop at ``R_DISC`` = 0.999,
+exterior radii start at ``R_EXT_LO`` = 1.001.  When a supremum is taken over
+a grid, ties resolve to the first point in that order, so sweeps are
+deterministic.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _angles(n_theta: int) -> np.ndarray:
 def disc_grid(spec: GridSpec, r_max: float = R_DISC) -> np.ndarray:
     """Points r_j e^{i theta_k} with r_j = j/n_r * r_max, j = 1..n_r."""
     radii = (np.arange(1, spec.n_r + 1) / spec.n_r) * r_max
-    return radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]
+    return (radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]).ravel()
 
 
 def exterior_grid(spec: GridSpec) -> np.ndarray:
@@ -91,7 +92,7 @@ def exterior_grid(spec: GridSpec) -> np.ndarray:
     separately by callers (it has no finite coordinates).
     """
     radii = np.geomspace(R_EXT_LO, R_EXT_HI, spec.n_r)
-    return radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]
+    return (radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]).ravel()
 
 
 def seam_circle(n: int = N_SEAM) -> np.ndarray:
@@ -128,10 +129,3 @@ def blocks(lo: int, hi: int) -> list[tuple[int, int]]:
     q, r = divmod(hi - lo, n)
     edges = [lo + i * q + min(i, r) for i in range(n + 1)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def argmax_2d(values: np.ndarray) -> tuple[int, int]:
-    """Row-major index of the maximum; NaNs never win."""
-    flat = np.where(np.isnan(values), -np.inf, values).ravel()
-    idx = int(np.argmax(flat))
-    return idx // values.shape[1], idx % values.shape[1]

@@ -369,7 +369,7 @@ def check_dk(spec: LoewnerChainSpec, t_max: float = T_MAX) -> float:
     to TAU_THM2_REDUCTION while sweeping, and the first t that breaches it
     raises ArithmeticError.
     """
-    Z = disc_grid(DK_GRID.z).ravel()
+    Z = disc_grid(DK_GRID.z)
 
     def field(Z, T):
         vals = dk_radius_field(spec, Z, T)
@@ -470,7 +470,7 @@ def pde_residual_sup(
         r = np.abs(ft - Z * fz * p)
         return np.where(np.isfinite(r), r, np.inf)
 
-    Z = disc_grid(grid.z, r_max=r0).ravel()
+    Z = disc_grid(grid.z, r_max=r0)
     ts = grid.t_samples(spec.a1_zero_window(grid.t_max))
     return max((float(np.max(row)) for _, row in _rows(resid, Z, ts)), default=0.0)
 
@@ -499,7 +499,7 @@ def check_theorem_A(
         return np.abs(chain_eval_array(spec, Z, T))
 
     # growth constant on the working disc, normalized by a1
-    Zr = disc_grid(grid.z, r_max=r0).ravel()
+    Zr = disc_grid(grid.z, r_max=r0)
     K0 = 0.0
     K0_half = 0.0
     for t, row in _rows(modulus, Zr, ts):
@@ -516,7 +516,7 @@ def check_theorem_A(
     # re-verify the fitted bound on a doubled mesh; max propagates NaN, so a
     # row's peak fails exactly when one of its values does
     fine = GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta)
-    Zf = disc_grid(fine, r_max=r0).ravel()
+    Zf = disc_grid(fine, r_max=r0)
     tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples(window)
     k0_refined_ok = all(
         peak <= K0_claimed * abs(complex(spec.a1(t)))
@@ -528,7 +528,7 @@ def check_theorem_A(
         p = herglotz_array(spec, Z, T)
         return np.where(np.isfinite(p.real), p.real, -np.inf)
 
-    Zd = disc_grid(grid.z).ravel()
+    Zd = disc_grid(grid.z)
     min_re = min(
         (float(np.min(row)) for _, row in _rows(re_p, Zd, ts)), default=math.inf
     )

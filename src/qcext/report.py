@@ -134,7 +134,8 @@ class VerificationReport:
             word = "holds" if v.holds else "FAILS"
             lines.append(
                 f"class {v.class_name}: {word} "
-                f"(worst {v.worst_value:.6g} vs bound {v.bound:.6g})"
+                f"(worst {v.worst_value:.6g} vs bound {v.bound:.6g}, "
+                f"margin {v.margin:.3g})"
             )
         if self.extension is not None:
             lines.append(

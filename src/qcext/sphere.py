@@ -9,7 +9,6 @@ code that needs coordinates must go through a chart first.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Union
 
 import numpy as np
@@ -74,13 +73,6 @@ def safe_div(num: ExtComplex, den: ExtComplex) -> ExtComplex:
     if cmath.isnan(v.real) and cmath.isnan(v.imag):
         raise SphereArithmeticError("indeterminate value (nan)")
     return INFINITY
-
-
-def chordal(a: ExtComplex, b: ExtComplex) -> float:
-    """Chordal (sphere) distance, range [0, 2]: chordal_array at one point,
-    so a non-finite value reads as INFINITY."""
-    a, b = (complex(math.inf) if is_infinity(v) else complex(v) for v in (a, b))
-    return float(chordal_array(np.array([a]), np.array([b]))[0])
 
 
 def chordal_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:

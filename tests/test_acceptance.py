@@ -121,7 +121,7 @@ def test_criterion_1_dilatation_bounds():
 
 def test_criterion_2_becker_cross_check():
     with criterion(2, "chain extension equals closed form to 1e-10 (64x64)"):
-        Z = exterior_grid(GridSpec(64, 64)).ravel()
+        Z = exterior_grid(GridSpec(64, 64))
 
         pairs_direct = [
             ("thm2", becker_extend(build_chain("thm2_eq3", EX2)), ext_thm2(EX2)),

@@ -325,7 +325,7 @@ def test_brown_claims_its_criterion_seam_bound():
 @pytest.mark.parametrize("text", ["2*z+0.1/z", "z^2"])
 def test_exterior_builders_and_chains_reject_bad_leads(text):
     g = parse_map(text)
-    for which in ("thm4", "cor1", "krzyz", "krzyz_decay"):
+    for which in ("thm4", "cor1", "krzyz"):
         with pytest.raises(PreconditionError):
             ext_exterior(g, which)
     for kind in ("exterior_eq7a1", "cor1_chain"):

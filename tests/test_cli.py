@@ -50,6 +50,20 @@ def test_verify_text_format(capsys):
     assert "overall: pass" in out
 
 
+def test_text_class_line_prints_the_json_margin(capsys):
+    # the worst value prints as the bound, but the margin shows the failure
+    argv = ["verify", "--builtin", "example2", "--grid", "2000x16", "--no-timestamp"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    (verdict,) = doc["class_verdicts"]
+    assert verdict["margin"] == pytest.approx(-1.228e-9, rel=1e-3)
+    assert main(argv + ["--format", "text"]) == 1
+    out = capsys.readouterr().out
+    line = "class U_lambda: FAILS (worst 0.5 vs bound 0.5, margin -1.23e-09)"
+    assert line in out.splitlines()
+    assert f"margin {verdict['margin']:.3g})" in line
+
+
 def test_exit_codes(capsys, tmp_path):
     # precondition violated: second coefficient is 2, not 0
     assert main(["verify", "--builtin", "koebe", "--theorem", "t2"]) == 2

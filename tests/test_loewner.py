@@ -468,8 +468,8 @@ def _one_t_report(spec, grid):
     for t in ts:
         vals = np.abs(loewner.chain_eval_array(spec, Zr, t))
         if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals.ravel())))
-            raise ChainSingularityError(complex(Zr.ravel()[bad]), float(t))
+            bad = int(np.argmax(~np.isfinite(vals)))
+            raise ChainSingularityError(complex(Zr[bad]), float(t))
         ratio = float(np.max(vals)) / abs(complex(spec.a1(t)))
         K0 = max(K0, ratio)
         if t <= grid.t_max / 2:
@@ -546,7 +546,7 @@ def test_batched_checks_match_one_t_loops(bid, kind, text, z, t_max):
 def test_chain_evaluators_take_t_as_rows(bid, kind, text):
     # a (rows, 1) T against a flat grid gives each t's one-t call, byte for byte
     spec = _corpus_spec(kind, text)
-    Z = disc_grid(GridSpec(32, 32), r_max=working_radius(spec)).ravel()
+    Z = disc_grid(GridSpec(32, 32), r_max=working_radius(spec))
     T = np.linspace(0.0, 5.0, 4)[:, None]
     for evaluate in (chain_eval_array, herglotz_array):
         rows = evaluate(spec, Z, T)
@@ -579,7 +579,7 @@ def test_thm2_reduction_failure_message_is_unchanged(capsys):
 def test_singularity_inside_a_batch_is_the_first_one_t_failure(monkeypatch):
     spec = build_chain("thm2_eq3", EX2)
     grid = ChainGrid()
-    Zr = disc_grid(grid.z, r_max=working_radius(spec)).ravel()
+    Zr = disc_grid(grid.z, r_max=working_radius(spec))
     ts = grid.t_samples(spec.a1_zero_window(grid.t_max))
     rows = CHAIN_BATCH_POINTS // Zr.size
     assert rows == 4  # t index 5 sits mid-way through the second batch
@@ -610,7 +610,7 @@ def test_refined_k0_fails_on_the_second_row_of_a_batch(monkeypatch, failure):
     grid = ChainGrid()
     K0_claimed = check_theorem_A(spec, grid).K0
     r0 = working_radius(spec)
-    Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=r0).ravel()
+    Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=r0)
     tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples()
     # the refined K0 grid fills a whole batch; two of its rows per batch
     # still sit below the elision floor, so the report must not change
