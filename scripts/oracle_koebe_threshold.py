@@ -12,16 +12,19 @@ Run:  python3 scripts/oracle_koebe_threshold.py
 
 import sys
 
-from qcext.beltrami import FieldGrid, beltrami_field
+import numpy as np
+
+from qcext.beltrami import beltrami_field
 from qcext.extensions import ext_huang_owa
+from qcext.grids import polar, seam_circle
 from qcext.mapexpr import parse_map
 
 
 def main() -> int:
     em = ext_huang_owa(parse_map("z/(1-z)^2"))
     for n in (32, 64, 128):
-        grid = FieldGrid("exterior_annulus", n, n, r_bounds=(1.001, 1.01))
-        field = beltrami_field(em, grid)
+        points = polar(np.linspace(1.001, 1.01, n), seam_circle(n))
+        field = beltrami_field(em, points)
         print(f"{n}x{n}  sup_mu = {field.sup_mu!r}  at {field.argmax_point!r}")
     return 0
 

@@ -28,7 +28,6 @@ from .loewner import (
 )
 from .beltrami import (
     BeltramiField,
-    FieldGrid,
     VerificationVerdict,
     beltrami_field,
     certify_qc,
@@ -66,7 +65,6 @@ __all__ = [
     "check_dk",
     "check_theorem_A",
     "BeltramiField",
-    "FieldGrid",
     "VerificationVerdict",
     "beltrami_field",
     "certify_qc",

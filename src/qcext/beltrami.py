@@ -1,11 +1,13 @@
 """Finite-difference complex dilatation of extended maps.
 
 Wirtinger derivatives come from a 4-point stencil with relative step; the
-dilatation mu = F_zbar / F_z is measured on polar grids on both sides of the
-unit circle and on a chart around infinity, then certified against the bound
-the builder claimed.  Everything here treats the map as a black-box
-evaluator: the point is to confirm the closed forms by an estimator that
-knows nothing about them.
+dilatation mu = F_zbar / F_z is measured at given sample points (the
+pipeline passes grids.field_points, both sides of the unit circle) and on a
+chart around infinity, then certified against the bound the builder claimed.
+A field is never kept point by point: each stencil block is reduced as it is
+made, to the four numbers certification reads.  Everything here treats the
+map as a black-box evaluator: the point is to confirm the closed forms by an
+estimator that knows nothing about them.
 """
 
 from __future__ import annotations
@@ -18,16 +20,12 @@ import numpy as np
 
 from .classifiers import POLE_EXCLUSION
 from .extensions import TAU_SEAM, ExtendedMap, SeamGap, seam_gap
-from .grids import MAX_GRID_POINTS, blocks, seam_circle
+from .grids import CHART_RADIUS, blocks, polar, seam_circle
 from .sphere import is_infinity
 
 TAU_MU = 1e-3
 DEGENERATE_TOL = 1e-12
 H_SCALE = 1e-5
-SEAM_MARGIN = 1e-4
-CHART_RADIUS = 10.0
-
-REGIONS = ("disc", "exterior_annulus", "sphere")
 
 
 class DegenerateFieldError(ArithmeticError):
@@ -35,69 +33,15 @@ class DegenerateFieldError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class FieldGrid:
-    """Polar sampling layout for dilatation sweeps.
-
-    region picks the side of the seam ("sphere" takes both).  r_bounds
-    defaults leave a SEAM_MARGIN cushion so stencils never straddle the
-    circle; given bounds are clamped to that cushion, and bounds that leave
-    no radius on a side the region samples are refused.
-    """
-
-    region: str = "sphere"
-    n_r: int = 96
-    n_theta: int = 96
-    r_bounds: Optional[Tuple[float, float]] = None
-
-    def __post_init__(self):
-        if self.region not in REGIONS:
-            raise ValueError(f"unknown region {self.region!r}")
-        if self.n_r < 1 or self.n_theta < 1:
-            raise ValueError("grid must be at least 1x1")
-        sides = 2 if self.region == "sphere" else 1
-        if sides * self.n_r * self.n_theta > MAX_GRID_POINTS:
-            raise ValueError("grid exceeds the evaluation budget")
-        if self.r_bounds is not None:
-            lo, hi = self.r_bounds
-            if not 0 < lo < hi:
-                raise ValueError("r_bounds must be ordered and positive")
-            if self.region != "exterior_annulus" and lo >= 1.0 - SEAM_MARGIN:
-                raise ValueError("r_bounds leave no radius inside the seam")
-            if self.region != "disc" and hi <= 1.0 + SEAM_MARGIN:
-                raise ValueError("r_bounds leave no radius outside the seam")
-
-    def points(self) -> np.ndarray:
-        rays = seam_circle(self.n_theta)
-
-        def polar(lo, hi):
-            radii = np.linspace(lo, hi, self.n_r)
-            return (radii[:, None] * rays[None, :]).ravel()
-
-        if self.region == "disc":
-            lo, hi = self.r_bounds or (0.05, 1.0 - SEAM_MARGIN)
-            return polar(lo, min(hi, 1.0 - SEAM_MARGIN))
-        if self.region == "exterior_annulus":
-            lo, hi = self.r_bounds or (1.0 + SEAM_MARGIN, CHART_RADIUS)
-            return polar(max(lo, 1.0 + SEAM_MARGIN), hi)
-        lo, hi = self.r_bounds or (0.05, CHART_RADIUS)
-        return np.concatenate(
-            [polar(lo, 1.0 - SEAM_MARGIN), polar(1.0 + SEAM_MARGIN, hi)]
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class BeltramiField:
-    grid: FieldGrid
-    points: np.ndarray
-    mu: np.ndarray
-    jacobian_proxy: np.ndarray
+    """A field reduced over its points: sup |mu| and its first witness, the
+    least finite Jacobian proxy |F_z|^2 - |F_zbar|^2, the degenerate count."""
+
     sup_mu: float
     argmax_point: complex
+    jacobian_min: float
     degenerate_count: int
-
-    @property
-    def n_points(self) -> int:
-        return int(self.points.size)
+    n_points: int
 
 
 @dataclass(frozen=True)
@@ -177,11 +121,9 @@ def _apply_zones(points: np.ndarray, zones) -> np.ndarray:
     return points[keep]
 
 
-def _field_on_points(grid: FieldGrid, F, points: np.ndarray) -> BeltramiField:
-    """Blocked stencil and reduction: degeneracy count, mu, jacobian proxy and
-    the first argmax of |mu|, with no full-size temporaries."""
-    mu = np.empty(points.shape, dtype=np.complex128)
-    jac = np.empty(points.shape, dtype=np.float64)
+def _field_on_points(F, points: np.ndarray) -> BeltramiField:
+    """Blocked stencil, each block reduced as it is made: degeneracy count,
+    first argmax of |mu| and least finite Jacobian proxy."""
 
     def reduce_block(bounds):
         lo, hi = bounds
@@ -193,13 +135,13 @@ def _field_on_points(grid: FieldGrid, F, points: np.ndarray) -> BeltramiField:
         if n_deg:
             num, den = np.where(degenerate, np.nan, fzb), np.where(degenerate, 1.0, fz)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(num, den, out=mu[lo:hi])
-            np.subtract(abs_fz**2, np.abs(fzb) ** 2, out=jac[lo:hi])
-        absmu = np.abs(mu[lo:hi])
+            absmu = np.abs(num / den)
+            jac = abs_fz**2 - np.abs(fzb) ** 2
         if n_deg:
             absmu = np.where(degenerate, -np.inf, absmu)
         i = int(np.argmax(absmu))
-        return n_deg, lo + i, float(absmu[i])
+        jac_min = float(np.min(jac[np.isfinite(jac)], initial=np.inf))
+        return n_deg, lo + i, float(absmu[i]), jac_min
 
     parts = [reduce_block(b) for b in _blocks(points)]
 
@@ -210,25 +152,23 @@ def _field_on_points(grid: FieldGrid, F, points: np.ndarray) -> BeltramiField:
         )
     # first occurrence of the largest |mu|, with NaN ranking first as in np.argmax
     idx, best = 0, -math.inf
-    for _, i, v in parts:
+    for _, i, v, _ in parts:
         if (math.isnan(v) and not math.isnan(best)) or v > best:
             idx, best = i, v
     return BeltramiField(
-        grid=grid,
-        points=points,
-        mu=mu,
-        jacobian_proxy=jac,
         sup_mu=best if math.isfinite(best) else 0.0,
         argmax_point=complex(points[idx]) if points.size else 0j,
+        jacobian_min=min((p[3] for p in parts), default=math.inf),
         degenerate_count=n_deg,
+        n_points=int(points.size),
     )
 
 
-def beltrami_field(em: ExtendedMap, grid: Optional[FieldGrid] = None) -> BeltramiField:
-    """Dilatation sweep over the grid, with holes around special points."""
-    grid = grid or FieldGrid()
-    points = _apply_zones(grid.points(), _exclusion_zones(em))
-    return _field_on_points(grid, em.evaluate_array, points)
+def beltrami_field(em: ExtendedMap, points: np.ndarray) -> BeltramiField:
+    """Dilatation sweep over the sample points, with holes around special
+    points."""
+    points = _apply_zones(points, _exclusion_zones(em))
+    return _field_on_points(em.evaluate_array, points)
 
 
 def infinity_chart_field(em: ExtendedMap) -> BeltramiField:
@@ -241,10 +181,8 @@ def infinity_chart_field(em: ExtendedMap) -> BeltramiField:
     fixes_inf = any(
         is_infinity(src) and is_infinity(img) for src, img in em.special_points
     )
-    grid = FieldGrid(
-        "disc", 12, 48, r_bounds=(1.0 / (5.0 * CHART_RADIUS), 1.0 / CHART_RADIUS)
-    )
-    W = grid.points()
+    radii = np.linspace(1.0 / (5.0 * CHART_RADIUS), 1.0 / CHART_RADIUS, 12)
+    W = polar(radii, seam_circle(48))
     zones = [
         (1.0 / complex(src), POLE_EXCLUSION / (5.0 * CHART_RADIUS))
         for src, _ in em.special_points
@@ -262,29 +200,26 @@ def infinity_chart_field(em: ExtendedMap) -> BeltramiField:
         def F(Wv):
             return em.evaluate_array(1.0 / Wv)
 
-    return _field_on_points(grid, F, W)
+    return _field_on_points(F, W)
 
 
 def certify_qc(
     em: ExtendedMap,
+    points: np.ndarray,
     claimed_k: Optional[float] = None,
-    grid: Optional[FieldGrid] = None,
 ) -> VerificationVerdict:
     """Check the claimed dilatation bound, orientation, and the seam.
 
-    The grid sup is a lower bound for the essential sup: a pass means no
-    violation was found at this mesh, nothing stronger.
+    The field runs over the sample points (grids.field_points in the
+    pipeline) and the infinity chart.  The sampled sup is a lower bound for
+    the essential sup: a pass means no violation was found at these points,
+    nothing stronger.
     """
     k = em.claimed_k if claimed_k is None else float(claimed_k)
-    field = beltrami_field(em, grid)
+    field = beltrami_field(em, points)
     chart = infinity_chart_field(em)
     sup_mu = max(field.sup_mu, chart.sup_mu)
-    jac_min = float(
-        min(
-            np.min(field.jacobian_proxy[np.isfinite(field.jacobian_proxy)], initial=np.inf),
-            np.min(chart.jacobian_proxy[np.isfinite(chart.jacobian_proxy)], initial=np.inf),
-        )
-    )
+    jac_min = min(field.jacobian_min, chart.jacobian_min)
     seam = seam_gap(em)
     mu_ok = sup_mu <= k + TAU_MU
     orientation_ok = jac_min > 0

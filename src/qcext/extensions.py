@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifiers import ClassParams, exterior_lead, phi_from_map, seam_bound
 from .errors import PreconditionError
-from .grids import N_SEAM, blocks, seam_circle, seam_sup
+from .grids import blocks, seam_circle, seam_sup
 from .loewner import (
     TAU_W0,
     LoewnerChainSpec,
@@ -171,15 +171,15 @@ class ExtendedMap:
         }
 
 
-def seam_gap(em: ExtendedMap, n: int = N_SEAM) -> SeamGap:
-    """Branch disagreement on the circle |z| = 1, at the n points of
-    grids.seam_circle.
+def seam_gap(em: ExtendedMap) -> SeamGap:
+    """Branch disagreement on the circle |z| = 1, at the N_SEAM = 4096 points
+    of grids.seam_circle.
 
     sup_abs and sup_chordal compare both branches evaluated on the circle.
     The chordal number is the meaningful one near seam poles, where both
     branches blow up together and absolute differences lose their footing.
     """
-    circle = seam_circle(n)
+    circle = seam_circle()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner_on = eval_array(em.inner, circle)
         outer_on = em.outer(circle)

@@ -1,12 +1,13 @@
-"""Sampling grids on the disc, the exterior disc, and annuli, plus the seam
-circle |z| = 1 and the NaN-tolerant sup taken over it.
+"""Sampling grids on the disc, the exterior disc, and both sides of the seam,
+plus the seam circle |z| = 1 and the NaN-tolerant sup taken over it.
 
-Grids are polar tensor products returned flat, radius-major: point
+Every grid is one ``polar`` product returned flat, radius-major: point
 j * n_theta + k is radius j at angle k.  Criteria over open regions approach
 the boundary without touching it: disc radii stop at ``R_DISC`` = 0.999,
-exterior radii start at ``R_EXT_LO`` = 1.001.  When a supremum is taken over
-a grid, ties resolve to the first point in that order, so sweeps are
-deterministic.
+exterior radii start at ``R_EXT_LO`` = 1.001.  The dilatation field samples
+``field_points``: the disc side then the exterior side, each kept
+``SEAM_MARGIN`` off the circle.  When a supremum is taken over a grid, ties
+resolve to the first point in that order, so sweeps are deterministic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ R_DISC = 0.999
 R_EXT_LO = 1.001
 R_EXT_HI = 10.0
 N_SEAM = 4096
+# the dilatation field's stencils stay this far off the seam, out to the
+# radius where the chart at infinity takes over
+SEAM_MARGIN = 1e-4
+CHART_RADIUS = 10.0
 
 # hard cap so a typo in a flag cannot allocate tens of gigabytes
 MAX_GRID_POINTS = 1 << 24
@@ -59,10 +64,17 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_r < 1 or self.n_theta < 1:
             raise ValueError("grid must have at least one radius and angle")
-        if self.n_r * self.n_theta > MAX_GRID_POINTS:
+        self.require_cap(1)
+
+    def require_cap(self, copies: int) -> None:
+        """Refuse this grid when a pipeline that samples it copies times over
+        would hold more than MAX_GRID_POINTS points."""
+        n = self.n_r * self.n_theta
+        if copies * n > MAX_GRID_POINTS:
+            sampled = f" ({copies} x {n} points sampled)" if copies > 1 else ""
             raise ValueError(
                 f"grid of {self.n_r}x{self.n_theta} exceeds the "
-                f"{MAX_GRID_POINTS} point cap"
+                f"{MAX_GRID_POINTS} point cap{sampled}"
             )
 
     @classmethod
@@ -78,10 +90,15 @@ def _angles(n_theta: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
 
 
+def polar(radii: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """The points r * u for r in radii and u in rays, flat and radius-major."""
+    return (radii[:, None] * rays[None, :]).ravel()
+
+
 def disc_grid(spec: GridSpec, r_max: float = R_DISC) -> np.ndarray:
     """Points r_j e^{i theta_k} with r_j = j/n_r * r_max, j = 1..n_r."""
     radii = (np.arange(1, spec.n_r + 1) / spec.n_r) * r_max
-    return (radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]).ravel()
+    return polar(radii, np.exp(1j * _angles(spec.n_theta)))
 
 
 def exterior_grid(spec: GridSpec) -> np.ndarray:
@@ -92,7 +109,20 @@ def exterior_grid(spec: GridSpec) -> np.ndarray:
     separately by callers (it has no finite coordinates).
     """
     radii = np.geomspace(R_EXT_LO, R_EXT_HI, spec.n_r)
-    return (radii[:, None] * np.exp(1j * _angles(spec.n_theta))[None, :]).ravel()
+    return polar(radii, np.exp(1j * _angles(spec.n_theta)))
+
+
+def field_points(spec: GridSpec) -> np.ndarray:
+    """The dilatation field's 2 * n_r * n_theta points: n_r radii evenly in
+    [0.05, 1 - SEAM_MARGIN], then n_r in [1 + SEAM_MARGIN, CHART_RADIUS], each
+    on seam_circle(n_theta)."""
+    rays = seam_circle(spec.n_theta)
+    return np.concatenate(
+        [
+            polar(np.linspace(0.05, 1.0 - SEAM_MARGIN, spec.n_r), rays),
+            polar(np.linspace(1.0 + SEAM_MARGIN, CHART_RADIUS, spec.n_r), rays),
+        ]
+    )
 
 
 def seam_circle(n: int = N_SEAM) -> np.ndarray:

@@ -144,6 +144,8 @@ class ChainGrid:
                 f"t_max must be below {T_MAX_LIMIT:g}, short of where "
                 f"e^(+-2t) leaves double range, got {self.t_max}"
             )
+        # check_theorem_A re-checks K0 on the mesh doubled in r and theta
+        self.z.require_cap(4)
 
     def t_samples(self, exclude: Optional[tuple[float, float]] = None) -> np.ndarray:
         ts = np.linspace(0.0, self.t_max, self.n_t)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .beltrami import FieldGrid, certify_qc
+from .beltrami import certify_qc
 from .classifiers import ClassVerdict, check_class
 from .corpus import THEOREM_CLASS, THEOREMS, class_params_for, get_builtin
 from .errors import PreconditionError
@@ -33,7 +33,7 @@ from .extensions import (
     ext_thm2,
     ext_thm5,
 )
-from .grids import GridSpec
+from .grids import GridSpec, field_points
 from .loewner import T_MAX, ChainGrid, build_chain, check_theorem_A
 from .mapexpr import MapExpr, parse_map, rational_form, shifted_difference, taylor_jet
 from .sphere import INFINITY
@@ -291,6 +291,8 @@ def run_verify(
     )
     f = parse_map(text)
     gs = GridSpec.parse(grid) if grid else GridSpec()
+    # the dilatation field samples the grid on both sides of the seam
+    gs.require_cap(2)
 
     notes: List[str] = []
     verdicts: List[ClassVerdict] = []
@@ -298,9 +300,8 @@ def run_verify(
         verdicts.append(check_class(f, class_name, cls_params, gs))
 
     em = build_extension(theorem, f, merged)
-    field_grid = FieldGrid("sphere", gs.n_r, gs.n_theta)
     claimed = ex.expected_k(params) if ex is not None else None
-    verdict = certify_qc(em, claimed_k=claimed, grid=field_grid)
+    verdict = certify_qc(em, field_points(gs), claimed_k=claimed)
     if ex is not None and ex.negative:
         notes.append("negative control: failure is the documented outcome")
 
@@ -345,8 +346,8 @@ def run_chain(
     base = parse_map(text)
     gs = GridSpec.parse(grid) if grid else ChainGrid.z
 
-    spec = build_chain(kind, base)
     cg = ChainGrid(z=gs, t_max=T_MAX if tmax is None else float(tmax))
+    spec = build_chain(kind, base)
     chk = check_theorem_A(spec, cg)
     lo = dataclasses.asdict(chk)
     lo["kind"] = kind

@@ -38,28 +38,20 @@ ExtComplex = Union[complex, _Infinity]
 
 
 class SphereArithmeticError(ArithmeticError):
-    """An indeterminate sphere quotient: 0/0, inf/inf, or a nan value."""
+    """An indeterminate sphere quotient: 0/0 or a nan value."""
 
 
 def is_infinity(v: object) -> bool:
     return v is INFINITY
 
 
-def safe_div(num: ExtComplex, den: ExtComplex) -> ExtComplex:
-    """Divide on the sphere.
+def safe_div(num: complex, den: complex) -> ExtComplex:
+    """Divide two complex numbers (never INFINITY) onto the sphere.
 
-    A finite quotient whose denominator magnitude falls below
-    ``TAU_POLE * |num|`` is reported as INFINITY, and so is a quotient that
-    overflows; the exact 0/0 case and a nan quotient raise
-    :class:`SphereArithmeticError`.
+    A quotient whose denominator magnitude falls below ``TAU_POLE * |num|``
+    is reported as INFINITY, and so is a quotient that overflows; the exact
+    0/0 case and a nan quotient raise :class:`SphereArithmeticError`.
     """
-    ninf, dinf = is_infinity(num), is_infinity(den)
-    if ninf and dinf:
-        raise SphereArithmeticError("inf / inf")
-    if ninf:
-        return INFINITY
-    if dinf:
-        return 0j
     num = complex(num)
     den = complex(den)
     an, ad = abs(num), abs(den)

@@ -5,7 +5,6 @@ lines.  Every tolerance here is part of the package contract; loosening one
 is a release decision, not a test fix.
 """
 
-import cmath
 import hashlib
 import math
 import random
@@ -15,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qcext.beltrami import FieldGrid, beltrami_field, certify_qc, wirtinger
+from qcext.beltrami import beltrami_field, certify_qc, wirtinger
 from qcext.classifiers import ClassParams, check_class
 from qcext.corpus import BUILTINS
 from qcext.errors import PreconditionError
@@ -30,7 +29,15 @@ from qcext.extensions import (
     ext_thm2,
     ext_thm5,
 )
-from qcext.grids import GridSpec, disc_grid, exterior_grid
+from qcext.grids import (
+    SEAM_MARGIN,
+    GridSpec,
+    disc_grid,
+    exterior_grid,
+    field_points,
+    polar,
+    seam_circle,
+)
 from qcext.loewner import build_chain, check_dk, check_theorem_A
 from qcext.mapexpr import ParseError, eval_array, parse_map, print_expr
 from qcext.render import ppm_bytes, render_map
@@ -78,38 +85,46 @@ def _quiet(builder, *args):
 # 1. dilatation bound suite
 
 
+def _annulus(lo: float, hi: float, n: int) -> np.ndarray:
+    """n radii evenly in [lo, hi] on seam_circle(n), radius-major."""
+    return polar(np.linspace(lo, hi, n), seam_circle(n))
+
+
+# the side of the seam that each case's dilatation is sampled on
+EXTERIOR = (1.01, 10.0)
+DISC = (0.05, 1.0 - SEAM_MARGIN)
+
+
 def _bound_cases():
     for lam in (0.25, 0.5, 0.75):
         for theta in (0.0, math.pi / 3):
             f = BUILTINS["example1"].map({"lambda": lam, "theta": theta})
-            yield f"example1 lam={lam} theta={theta:.2f}", ext_huang_owa(f), lam, "exterior_annulus"
+            yield f"example1 lam={lam} theta={theta:.2f}", ext_huang_owa(f), lam, EXTERIOR
     for lam in (0.25, 0.5, 0.75):
         f = BUILTINS["example2"].map({"lambda": lam})
-        yield f"example2 lam={lam}", ext_thm2(f), lam, "exterior_annulus"
-    yield "example3 p=0.5 lam=0.5", ext_huang_owa(EX3), 0.5, "exterior_annulus"
+        yield f"example2 lam={lam}", ext_thm2(f), lam, EXTERIOR
+    yield "example3 p=0.5 lam=0.5", ext_huang_owa(EX3), 0.5, EXTERIOR
     for a2 in (0.3 + 0j, 0.5 + 0.2j):
-        yield f"mobius a2={a2}", ext_mobius_convex(a2), abs(a2), "exterior_annulus"
+        yield f"mobius a2={a2}", ext_mobius_convex(a2), abs(a2), EXTERIOR
     yield (
         "radial M=2",
         ext_radial_psi("vp_pole", 0.5, RadialProfile(2.0)),
         0.6,
-        "exterior_annulus",
+        EXTERIOR,
     )
     for k in (0.3, 0.6):
         g = parse_map(f"z+{k}/z")
-        yield f"krzyz k={k}", ext_exterior(g, "krzyz"), k, "disc"
-    yield "brown", ext_brown(BROWN_F, 1.0 + 0j), 0.5, "exterior_annulus"
-    yield "thm4", ext_exterior(G_U, "thm4"), None, "disc"
-    yield "cor1", _quiet(ext_exterior, G_INV, "cor1"), None, "disc"
-    yield "thm5", ext_thm5(NEG_DERIV), None, "exterior_annulus"
+        yield f"krzyz k={k}", ext_exterior(g, "krzyz"), k, DISC
+    yield "brown", ext_brown(BROWN_F, 1.0 + 0j), 0.5, EXTERIOR
+    yield "thm4", ext_exterior(G_U, "thm4"), None, DISC
+    yield "cor1", _quiet(ext_exterior, G_INV, "cor1"), None, DISC
+    yield "thm5", ext_thm5(NEG_DERIV), None, EXTERIOR
 
 
 def test_criterion_1_dilatation_bounds():
     with criterion(1, "dilatation bound suite (400x400 + chart, tau 1e-3)"):
-        for label, em, claimed, side in _bound_cases():
-            bounds = (1.01, 10.0) if side == "exterior_annulus" else None
-            grid = FieldGrid(side, 400, 400, r_bounds=bounds)
-            verdict = certify_qc(em, claimed_k=claimed, grid=grid)
+        for label, em, claimed, (lo, hi) in _bound_cases():
+            verdict = certify_qc(em, _annulus(lo, hi, 400), claimed_k=claimed)
             assert verdict.mu_ok, (label, verdict.sup_mu, verdict.claimed_k)
             assert verdict.orientation_ok, (label, verdict.jacobian_min)
             assert verdict.seam.sup_chordal <= 1e-9, (label, verdict.seam)
@@ -213,7 +228,7 @@ def test_criterion_5_identity_chains():
             assert spec.claimed_k <= 1e-12, kind
             assert check_dk(spec) <= 1e-9, kind
             em = becker_extend(spec)
-            field = beltrami_field(em, FieldGrid("sphere", 64, 64))
+            field = beltrami_field(em, field_points(GridSpec(64, 64)))
             assert field.sup_mu <= 1e-9, (kind, field.sup_mu)
 
 
@@ -227,8 +242,7 @@ def test_criterion_6_negative_controls():
             ext_thm2(KOEBE)
 
         em = ext_huang_owa(KOEBE)
-        grid = FieldGrid("exterior_annulus", 64, 64, r_bounds=(1.001, 1.01))
-        field = beltrami_field(em, grid)
+        field = beltrami_field(em, _annulus(1.001, 1.01, 64))
         assert field.sup_mu > 0.9
         assert abs(field.sup_mu - KOEBE_REFLECTED_SUP) <= 1e-9, field.sup_mu
 

@@ -6,12 +6,12 @@ import pytest
 from qcext.beltrami import (
     DEGENERATE_TOL,
     DegenerateFieldError,
-    FieldGrid,
     TAU_MU,
-    VerificationVerdict,
     beltrami_field,
     certify_qc,
     infinity_chart_field,
+    _apply_zones,
+    _exclusion_zones,
     _wirtinger_block,
     wirtinger,
 )
@@ -27,6 +27,15 @@ from qcext.extensions import (
     ext_thm2,
     seam_gap,
 )
+from qcext.grids import (
+    CHART_RADIUS,
+    MAX_GRID_POINTS,
+    SEAM_MARGIN,
+    GridSpec,
+    field_points,
+    polar,
+    seam_circle,
+)
 from qcext.mapexpr import eval_array, parse_map
 
 EX1 = parse_map("z/((1-z)*(1-0.5*z))")
@@ -34,6 +43,22 @@ EX2 = parse_map("z/(1+0.5*z^2)")
 KOEBE = parse_map("z/(1-z)^2")
 IDENTITY = parse_map("z")
 G_KRZYZ = parse_map("z+0.5/z")
+
+
+def _disc(n_r, n_theta, lo=0.05, hi=1.0 - SEAM_MARGIN):
+    return polar(np.linspace(lo, hi, n_r), seam_circle(n_theta))
+
+
+def _exterior(n_r, n_theta, lo=1.0 + SEAM_MARGIN, hi=CHART_RADIUS):
+    return polar(np.linspace(lo, hi, n_r), seam_circle(n_theta))
+
+
+def _pointwise(em, points):
+    """(points, mu, jacobian proxy) at the points beltrami_field keeps, from
+    one stencil call on all of them."""
+    points = _apply_zones(points, _exclusion_zones(em))
+    fz, fzb = _wirtinger_block(em.evaluate_array, points)
+    return points, fzb / fz, np.abs(fz) ** 2 - np.abs(fzb) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -78,41 +103,19 @@ def test_wirtinger_order_at_least_1_9():
 # grids
 
 
-def test_grid_rejects_bad_region():
-    with pytest.raises(ValueError):
-        FieldGrid("torus")
-
-
 def test_grid_rejects_budget_blowout():
-    with pytest.raises(ValueError):
-        FieldGrid("sphere", 1 << 12, 1 << 12)
-
-
-def test_grid_rejects_unordered_bounds():
-    with pytest.raises(ValueError):
-        FieldGrid("disc", r_bounds=(0.9, 0.1))
-
-
-@pytest.mark.parametrize(
-    "region, bounds",
-    [
-        ("sphere", (2.0, 5.0)),
-        ("disc", (1.0 - 1e-4, 2.0)),
-        ("sphere", (0.5, 1.0 + 1e-4)),
-        ("exterior_annulus", (0.2, 0.9)),
-    ],
-)
-def test_grid_rejects_bounds_on_the_wrong_side_of_the_seam(region, bounds):
-    with pytest.raises(ValueError):
-        FieldGrid(region, 4, 4, r_bounds=bounds)
+    # within the cap on its own, over it on both sides of the seam
+    spec = GridSpec(1 << 12, 1 << 12)
+    assert 2 * spec.n_r * spec.n_theta > MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="grid of 4096x4096 exceeds"):
+        spec.require_cap(2)
 
 
 def test_grid_points_avoid_seam():
-    r_in = np.abs(FieldGrid("disc", 8, 8).points())
-    r_out = np.abs(FieldGrid("exterior_annulus", 8, 8).points())
+    r_both = np.abs(field_points(GridSpec(8, 8)))
+    r_in, r_out = r_both[:64], r_both[64:]
     assert r_in.max() <= 1.0 - 1e-4 + 1e-15
     assert r_out.min() >= 1.0 + 1e-4 - 1e-15
-    r_both = np.abs(FieldGrid("sphere", 8, 8).points())
     assert not np.any((r_both > 1.0 - 1e-4 + 1e-15) & (r_both < 1.0 + 1e-4 - 1e-15))
 
 
@@ -120,10 +123,10 @@ def test_grid_exclusions_punch_holes():
     # the interior pole 0.5 is a special point; at 64x64 no grid point comes
     # within POLE_EXCLUSION of it, so a finer grid is needed to test the hole
     em = ext_radial_psi("vp_pole", 0.5, RadialProfile(2.0))
-    grid = FieldGrid("disc", 96, 96)
-    assert np.any(np.abs(grid.points() - 0.5) < POLE_EXCLUSION)
-    field = beltrami_field(em, grid)
-    assert np.all(np.abs(field.points - 0.5) >= POLE_EXCLUSION)
+    points = _disc(96, 96)
+    outside = np.abs(points - 0.5) >= POLE_EXCLUSION
+    assert not np.all(outside)
+    assert beltrami_field(em, points).n_points == np.count_nonzero(outside)
 
 
 # ---------------------------------------------------------------------------
@@ -132,29 +135,31 @@ def test_grid_exclusions_punch_holes():
 
 def test_identity_field_is_flat():
     em = ext_huang_owa(IDENTITY)
-    field = beltrami_field(em, FieldGrid("sphere", 24, 24))
+    points = field_points(GridSpec(24, 24))
+    field = beltrami_field(em, points)
     assert field.sup_mu <= 1e-9
     assert field.degenerate_count == 0
-    assert np.all(field.jacobian_proxy > 0)
+    assert field.jacobian_min > 0
+    assert np.all(_pointwise(em, points)[2] > 0)
 
 
 def test_krzyz_field_constant_half():
     em = ext_exterior(G_KRZYZ, "krzyz")
-    inner = beltrami_field(em, FieldGrid("disc", 24, 24))
-    assert np.max(np.abs(np.abs(inner.mu) - 0.5)) < 1e-6
-    outer = beltrami_field(em, FieldGrid("exterior_annulus", 24, 24))
+    _, mu, _ = _pointwise(em, _disc(24, 24))
+    assert np.max(np.abs(np.abs(mu) - 0.5)) < 1e-6
+    outer = beltrami_field(em, _exterior(24, 24))
     assert outer.sup_mu < 1e-6
-    assert abs(beltrami_field(em).sup_mu - 0.5) < 1e-6
+    assert abs(beltrami_field(em, field_points(GridSpec())).sup_mu - 0.5) < 1e-6
 
 
 def test_radial_field_matches_profile_law():
     em = ext_radial_psi("unimodular_a2", 1.0 + 0j, RadialProfile(2.0))
-    grid = FieldGrid("exterior_annulus", 20, 24, r_bounds=(1.01, 2.5))
-    field = beltrami_field(em, grid)
-    r = np.abs(field.points)
+    points = _exterior(20, 24, 1.01, 2.5)
+    kept, mu, _ = _pointwise(em, points)
+    r = np.abs(kept)
     law = 1.0 / (4.0 * r - 1.0)
-    assert np.max(np.abs(np.abs(field.mu) - law)) < 1e-5
-    assert field.sup_mu <= em.claimed_k + TAU_MU
+    assert np.max(np.abs(np.abs(mu) - law)) < 1e-5
+    assert beltrami_field(em, points).sup_mu <= em.claimed_k + TAU_MU
 
 
 def test_degenerate_field_rejected():
@@ -168,12 +173,12 @@ def test_degenerate_field_rejected():
         claimed_k=0.0,
     )
     with pytest.raises(DegenerateFieldError):
-        beltrami_field(em, FieldGrid("disc", 8, 8))
+        beltrami_field(em, _disc(8, 8))
 
 
 def _whole_side_field(em, points):
     """Reference field: one stencil call per side of the seam, then the
-    reduction over the whole grid at once."""
+    reduction over the whole grid at once, as the field once kept it."""
     n_disc = int(np.count_nonzero(np.abs(points) < 1.0))
     assert np.all(np.abs(points[n_disc:]) > 1.0)
     sides = [_wirtinger_block(em.evaluate_array, s) for s in (points[:n_disc], points[n_disc:])]
@@ -186,7 +191,8 @@ def _whole_side_field(em, points):
     absmu = np.where(degenerate, -np.inf, np.abs(mu))
     idx = int(np.argmax(absmu))
     sup = float(absmu[idx]) if math.isfinite(absmu[idx]) else 0.0
-    return mu, jac, sup, complex(points[idx]), int(degenerate.sum())
+    jac_min = float(np.min(jac[np.isfinite(jac)], initial=np.inf))
+    return sup, complex(points[idx]), jac_min, int(degenerate.sum())
 
 
 @pytest.mark.parametrize(
@@ -199,11 +205,12 @@ def _whole_side_field(em, points):
     ids=["mobius_convex", "example3", "example2"],
 )
 def test_blocked_field_is_bit_identical_to_whole_sides(em):
-    field = beltrami_field(em, FieldGrid("sphere", 400, 400))
-    mu, jac, sup, arg, n_deg = _whole_side_field(em, field.points)
-    assert np.array_equal(field.mu, mu, equal_nan=True)
-    assert np.array_equal(field.jacobian_proxy, jac, equal_nan=True)
+    points = field_points(GridSpec(400, 400))
+    field = beltrami_field(em, points)
+    kept = _apply_zones(points, _exclusion_zones(em))
+    sup, arg, jac_min, n_deg = _whole_side_field(em, kept)
     assert field.sup_mu == sup and field.argmax_point == arg
+    assert field.jacobian_min == jac_min
     assert field.degenerate_count == n_deg
 
 
@@ -214,7 +221,7 @@ def test_blocked_field_is_bit_identical_to_whole_sides(em):
 def test_chart_field_when_infinity_fixed():
     chart = infinity_chart_field(ext_thm2(EX2))
     assert chart.sup_mu <= 0.5 + TAU_MU
-    assert np.all(chart.jacobian_proxy[np.isfinite(chart.jacobian_proxy)] > 0)
+    assert chart.jacobian_min > 0
 
 
 def test_chart_field_when_infinity_moves():
@@ -237,7 +244,7 @@ def test_chart_field_when_infinity_moves():
     ids=["thm2", "mobius", "krzyz", "radial"],
 )
 def test_certify_corpus_extension_passes(em):
-    verdict = certify_qc(em, grid=FieldGrid("sphere", 48, 48))
+    verdict = certify_qc(em, field_points(GridSpec(48, 48)))
     assert verdict.passed
     assert verdict.mu_ok and verdict.orientation_ok and verdict.seam_ok
     assert verdict.sup_mu <= verdict.claimed_k + TAU_MU
@@ -247,10 +254,10 @@ def test_certify_corpus_extension_passes(em):
 def test_certify_koebe_reflection_blows_past_09():
     # not a class member; the reflection formula degrades at the seam
     em = ext_huang_owa(KOEBE)
-    grid = FieldGrid("exterior_annulus", 64, 64, r_bounds=(1.001, 1.01))
-    field = beltrami_field(em, grid)
+    points = _exterior(64, 64, 1.001, 1.01)
+    field = beltrami_field(em, points)
     assert field.sup_mu > 0.9
-    verdict = certify_qc(em, claimed_k=0.9, grid=grid)
+    verdict = certify_qc(em, points, claimed_k=0.9)
     assert not verdict.mu_ok and not verdict.passed
 
 
@@ -267,13 +274,13 @@ def test_certify_flags_injected_seam_fault():
     )
     gap = seam_gap(fault)
     assert abs(gap.sup_abs - 0.1) < 1e-6
-    verdict = certify_qc(fault, grid=FieldGrid("sphere", 16, 16))
+    verdict = certify_qc(fault, field_points(GridSpec(16, 16)))
     assert not verdict.seam_ok and not verdict.passed
     assert verdict.mu_ok  # the shift leaves derivatives alone
 
 
 def test_verdict_summary_shape():
-    s = certify_qc(ext_mobius_convex(0.5), grid=FieldGrid("sphere", 16, 16)).summary()
+    s = certify_qc(ext_mobius_convex(0.5), field_points(GridSpec(16, 16))).summary()
     assert s["passed"] is True
     for key in ("sup_mu", "claimed_k", "jacobian_min", "seam_sup_chordal", "n_points"):
         assert key in s

@@ -5,8 +5,10 @@ import warnings
 
 import pytest
 
-from qcext import cli, report
+from qcext import cli, loewner, report
 from qcext.cli import main
+from qcext.grids import GridSpec
+from qcext.loewner import ChainGrid
 from qcext.report import build_extension
 
 
@@ -293,6 +295,33 @@ def test_verify_image_builds_the_extension_once(tmp_path, monkeypatch):
     args += ["--image", str(tmp_path / "ext.ppm"), "--out", str(tmp_path / "m.json")]
     assert main(args) == 0
     assert calls == ["convex"]
+
+
+@pytest.mark.parametrize(
+    "args, grid",
+    [
+        (["verify", "--builtin", "identity", "--grid", "4096x4096"], "4096x4096"),
+        (["chain", "--builtin", "example2", "--grid", "2048x4096"], "2048x4096"),
+    ],
+)
+def test_over_budget_grid_exits_two_before_any_sweep(args, grid, monkeypatch, capsys):
+    # each grid fits the cap on its own; the field samples both sides of the
+    # seam and the K0 re-check the doubled mesh, which do not
+    def refuse(*a, **k):
+        raise AssertionError("swept a grid that is over budget")
+
+    monkeypatch.setattr(report, "check_class", refuse)
+    monkeypatch.setattr(report, "build_extension", refuse)
+    monkeypatch.setattr(loewner, "chain_eval_array", refuse)
+    assert main(args) == 2
+    assert f"grid of {grid} exceeds" in capsys.readouterr().err
+
+
+def test_largest_grids_within_budget_are_accepted():
+    GridSpec(2048, 4096).require_cap(2)
+    ChainGrid(GridSpec(2048, 2048))
+    with pytest.raises(ValueError, match="grid of 2048x2049 exceeds"):
+        ChainGrid(GridSpec(2048, 2049))
 
 
 def test_module_entry_point(tmp_path):

@@ -271,7 +271,7 @@ def built_corpus():
 
 def test_seam_gap_tight_everywhere(built_corpus):
     for name, em in built_corpus.items():
-        gap = seam_gap(em, n=1024)
+        gap = seam_gap(em)
         assert gap.sup_chordal <= 1e-9, (name, gap)
         assert gap.sup_abs <= 1e-9, (name, gap)
 

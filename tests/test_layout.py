@@ -36,10 +36,13 @@ def test_every_traced_span_resolves():
 
 
 def test_no_unused_imports_in_the_package():
-    # __init__.py imports names to re-export them, so it is left out
-    src = Path(__file__).resolve().parents[1] / "src" / "qcext"
+    # the package, its tests and its scripts; __init__.py imports names to
+    # re-export them, so it is left out
+    root = Path(__file__).resolve().parents[1]
     unused = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(
+        p for d in ("src/qcext", "tests", "scripts") for p in (root / d).glob("*.py")
+    ):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -51,7 +54,7 @@ def test_no_unused_imports_in_the_package():
                     imported[bound] = node.lineno
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [
-            f"{path.name}:{line} {name}"
+            f"{path.relative_to(root)}:{line} {name}"
             for name, line in imported.items()
             if name not in used and name != "annotations"
         ]
