@@ -12,7 +12,7 @@ import os
 import sys
 
 from qcext.corpus import BUILTINS
-from qcext.mapexpr import eval_array
+from qcext.mapexpr import eval_array, parse_map
 from qcext.render import ppm_bytes, render_map
 
 GALLERY = (
@@ -28,7 +28,7 @@ def main() -> int:
     outdir = sys.argv[1] if len(sys.argv) > 1 else "gallery"
     os.makedirs(outdir, exist_ok=True)
     for bid, style in GALLERY:
-        f = BUILTINS[bid].map()
+        f = parse_map(BUILTINS[bid].text())
         rgb = render_map(lambda Z: eval_array(f, Z), style, 256)
         data = ppm_bytes(rgb)
         path = os.path.join(outdir, f"{bid}_{style}.ppm")

@@ -7,7 +7,6 @@ from .classifiers import ClassParams, ClassVerdict, check_class
 from .extensions import (
     ExtendedMap,
     RadialProfile,
-    SeamGap,
     becker_extend,
     ext_brown,
     ext_exterior,
@@ -48,7 +47,6 @@ __all__ = [
     "check_class",
     "ExtendedMap",
     "RadialProfile",
-    "SeamGap",
     "becker_extend",
     "ext_brown",
     "ext_exterior",

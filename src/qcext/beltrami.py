@@ -13,13 +13,13 @@ estimator that knows nothing about them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .classifiers import POLE_EXCLUSION
-from .extensions import TAU_SEAM, ExtendedMap, SeamGap, seam_gap
+from .extensions import TAU_SEAM, ExtendedMap, seam_gap
 from .grids import CHART_RADIUS, blocks, polar, seam_circle
 from .sphere import is_infinity
 
@@ -53,18 +53,10 @@ class VerificationVerdict:
     sup_mu: float
     claimed_k: float
     jacobian_min: float
-    seam: SeamGap
+    seam_sup_abs: float
+    seam_sup_chordal: float
     degenerate_count: int
     n_points: int
-
-    def summary(self) -> dict:
-        """The report's beltrami section, with the seam gap flattened to its
-        two sups."""
-        out = asdict(self)
-        seam = out.pop("seam")
-        out["seam_sup_chordal"] = seam["sup_chordal"]
-        out["seam_sup_abs"] = seam["sup_abs"]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +107,11 @@ def _exclusion_zones(em: ExtendedMap):
 
 
 def _apply_zones(points: np.ndarray, zones) -> np.ndarray:
+    """The flat points outside every zone, or points itself if none is in one."""
     keep = np.ones(points.shape, dtype=bool)
     for center, radius in zones:
         keep &= np.abs(points - center) >= radius
-    return points[keep]
+    return points if keep.all() else points[keep]
 
 
 def _field_on_points(F, points: np.ndarray) -> BeltramiField:
@@ -220,10 +213,10 @@ def certify_qc(
     chart = infinity_chart_field(em)
     sup_mu = max(field.sup_mu, chart.sup_mu)
     jac_min = min(field.jacobian_min, chart.jacobian_min)
-    seam = seam_gap(em)
+    seam_abs, seam_chordal = seam_gap(em)
     mu_ok = sup_mu <= k + TAU_MU
     orientation_ok = jac_min > 0
-    seam_ok = seam.sup_chordal <= TAU_SEAM
+    seam_ok = seam_chordal <= TAU_SEAM
     return VerificationVerdict(
         passed=mu_ok and orientation_ok and seam_ok,
         mu_ok=mu_ok,
@@ -232,7 +225,8 @@ def certify_qc(
         sup_mu=sup_mu,
         claimed_k=k,
         jacobian_min=jac_min,
-        seam=seam,
+        seam_sup_abs=seam_abs,
+        seam_sup_chordal=seam_chordal,
         degenerate_count=field.degenerate_count + chart.degenerate_count,
         n_points=field.n_points + chart.n_points,
     )

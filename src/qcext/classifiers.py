@@ -147,7 +147,7 @@ def phi_from_map(f: MapExpr) -> MapExpr:
     # meets a zero denominator; verify the second-order vanishing through
     # the shifted series instead
     jf = taylor_jet(f, 3)
-    zf = series_inv(np.array(jf.coeffs[1:], dtype=complex))
+    zf = series_inv(np.array(jf[1:], dtype=complex))
     phi0 = zf[0] - 1.0
     phi1 = zf[1] + a2
     if abs(phi0) > TAU_PHI_ORDER or abs(phi1) > TAU_PHI_ORDER:

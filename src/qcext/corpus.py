@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .classifiers import ClassParams
-from .mapexpr import MapExpr, const_text, parse_map
+from .mapexpr import const_text
 
 ParamMap = Mapping[str, complex]
 
@@ -98,9 +98,6 @@ class BuiltinExample:
 
     def text(self, overrides: Optional[ParamMap] = None) -> str:
         return self.template.format_map(self._slot_text(self.params(overrides)))
-
-    def map(self, overrides: Optional[ParamMap] = None) -> MapExpr:
-        return parse_map(self.text(overrides))
 
     def chain_text(self, overrides: Optional[ParamMap] = None) -> str:
         tpl = self.chain_template or self.template

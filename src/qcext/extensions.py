@@ -91,12 +91,6 @@ class RadialProfile:
 
 
 @dataclass(frozen=True)
-class SeamGap:
-    sup_abs: float
-    sup_chordal: float
-
-
-@dataclass(frozen=True)
 class ExtendedMap:
     """A sphere map assembled from an analytic branch and a closed-form one.
 
@@ -171,13 +165,13 @@ class ExtendedMap:
         }
 
 
-def seam_gap(em: ExtendedMap) -> SeamGap:
-    """Branch disagreement on the circle |z| = 1, at the N_SEAM = 4096 points
-    of grids.seam_circle.
+def seam_gap(em: ExtendedMap) -> Tuple[float, float]:
+    """Branch disagreement (sup_abs, sup_chordal) on the circle |z| = 1, at
+    the N_SEAM = 4096 points of grids.seam_circle.
 
-    sup_abs and sup_chordal compare both branches evaluated on the circle.
-    The chordal number is the meaningful one near seam poles, where both
-    branches blow up together and absolute differences lose their footing.
+    Both sups compare the two branches evaluated on the circle.  The chordal
+    one is the meaningful one near seam poles, where both branches blow up
+    together and absolute differences lose their footing.
     """
     circle = seam_circle()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -188,12 +182,11 @@ def seam_gap(em: ExtendedMap) -> SeamGap:
         diff = np.where(both_bad, 0.0, diff)
         sup_abs = float(np.max(np.where(np.isfinite(diff), diff, np.inf)))
         sup_chordal = float(np.max(chordal_array(inner_on, outer_on)))
-    return SeamGap(sup_abs, sup_chordal)
+    return sup_abs, sup_chordal
 
 
 def _require_normalized_jet(f: MapExpr) -> np.ndarray:
-    jet = taylor_jet(f, 3)
-    c = np.asarray(jet.coeffs)
+    c = np.asarray(taylor_jet(f, 3))
     if abs(c[0]) > TAU_JET or abs(c[1] - 1.0) > TAU_JET:
         raise PreconditionError("map must be normalized: f(0)=0, f'(0)=1")
     return c

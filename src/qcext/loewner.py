@@ -16,7 +16,7 @@ quasiconformal extensibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -130,10 +130,9 @@ class LoewnerChainSpec:
 
 @dataclass(frozen=True)
 class ChainGrid:
-    """(z, t) resolution for chain sweeps on t in [0, t_max]."""
+    """The user's choices: K0 and Herglotz mesh z, every sweep's horizon t_max."""
 
     z: GridSpec = GridSpec(32, 32)
-    n_t: int = 64
     t_max: float = T_MAX
 
     def __post_init__(self) -> None:
@@ -147,18 +146,26 @@ class ChainGrid:
         # check_theorem_A re-checks K0 on the mesh doubled in r and theta
         self.z.require_cap(4)
 
-    def t_samples(self, exclude: Optional[tuple[float, float]] = None) -> np.ndarray:
-        ts = np.linspace(0.0, self.t_max, self.n_t)
-        if exclude is not None:
-            lo, hi = exclude
-            ts = ts[(ts < lo) | (ts > hi)]
-        return ts
 
-
+# time samples on [0, t_max] per chain sweep; the K0 re-check takes 2 * N_T
+N_T = 64
 # the D(k) sweep and the PDE residual keep these meshes whatever grid the K0
 # and Herglotz sweeps are given
-DK_GRID = ChainGrid(GridSpec(32, 32), 16)
+DK_MESH = GridSpec(32, 32)
+DK_N_T = 16
 PDE_MESH = GridSpec(24, 24)
+
+
+def _times(
+    n: int, t_max: float, exclude: Optional[tuple[float, float]] = None
+) -> np.ndarray:
+    """n evenly spaced times on [0, t_max], less those in the open window
+    exclude."""
+    ts = np.linspace(0.0, t_max, n)
+    if exclude is not None:
+        lo, hi = exclude
+        ts = ts[(ts < lo) | (ts > hi)]
+    return ts
 
 
 @dataclass(frozen=True)
@@ -363,29 +370,22 @@ def dk_radius_field(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
 
 
 def check_dk(spec: LoewnerChainSpec, t_max: float = T_MAX) -> float:
-    """Sup of |(p-1)/(p+1)| over DK_GRID's mesh and time samples on
+    """Sup of |(p-1)/(p+1)| over the DK_MESH disc grid at DK_N_T times on
     [0, t_max], reduced per t in t order (_rows).
 
     For the thm2_eq3 kind the ratio admits an exact algebraic reduction to
-    the U functional of the scaled map; the reduction is verified pointwise
-    to TAU_THM2_REDUCTION while sweeping, and the first t that breaches it
-    raises ArithmeticError.
+    e^(2t) |U| of the map scaled by e^(-t); the reduction is verified
+    pointwise to TAU_THM2_REDUCTION while sweeping, and the first t that
+    breaches it raises ArithmeticError.
     """
-    Z = disc_grid(DK_GRID.z)
-
-    def field(Z, T):
-        vals = dk_radius_field(spec, Z, T)
-        if spec.kind != "thm2_eq3":
-            return ((row, None) for row in vals)
-        em = np.array([[math.exp(-t)] for t in T[:, 0]])
-        scale = np.array([[math.exp(2 * t)] for t in T[:, 0]])
-        return zip(vals, scale * np.abs(u_field(spec.base_map, em * Z)))
-
+    Z = disc_grid(DK_MESH)
     sup = 0.0
-    for t, (row, want) in _rows(field, Z, replace(DK_GRID, t_max=t_max).t_samples()):
+    ts = _times(DK_N_T, t_max)
+    for t, row in _rows(lambda Z, T: dk_radius_field(spec, Z, T), Z, ts):
         sup = max(sup, float(np.max(row)))
-        if want is None:
+        if spec.kind != "thm2_eq3":
             continue
+        want = math.exp(2 * t) * np.abs(u_field(spec.base_map, math.exp(-t) * Z))
         finite = np.isfinite(row) & np.isfinite(want)
         if np.any(finite):
             resid = float(np.max(np.abs(row[finite] - want[finite])))
@@ -452,12 +452,10 @@ def subordination_ok(spec: LoewnerChainSpec, r0: float) -> bool:
     return True
 
 
-def pde_residual_sup(
-    spec: LoewnerChainSpec, r0: float, grid: ChainGrid | None = None
-) -> float:
-    """Sup of |df/dt - z f' p| on the r0-disc, with df/dt and f' by central
+def pde_residual_sup(spec: LoewnerChainSpec, r0: float, t_max: float = T_MAX) -> float:
+    """Sup of |df/dt - z f' p| over the PDE_MESH grid of the r0-disc at N_T
+    times on [0, t_max] (less a1's zero window), with df/dt and f' by central
     differences and p in closed form, reduced per t in t order (_rows)."""
-    grid = grid or ChainGrid(PDE_MESH)
 
     def resid(Z, T):
         ft = (
@@ -472,8 +470,8 @@ def pde_residual_sup(
         r = np.abs(ft - Z * fz * p)
         return np.where(np.isfinite(r), r, np.inf)
 
-    Z = disc_grid(grid.z, r_max=r0)
-    ts = grid.t_samples(spec.a1_zero_window(grid.t_max))
+    Z = disc_grid(PDE_MESH, r_max=r0)
+    ts = _times(N_T, t_max, spec.a1_zero_window(t_max))
     return max((float(np.max(row)) for _, row in _rows(resid, Z, ts)), default=0.0)
 
 
@@ -486,7 +484,7 @@ def check_theorem_A(
     holding on the doubled mesh (k0_refined_ok) and subordination.
     growth_ratio and a1_fit_max_err are reported only: the package has no
     tolerance for either.  grid sets the K0 and Herglotz meshes only:
-    D(k) always runs on DK_GRID's mesh and time samples, the PDE residual on
+    D(k) always runs on DK_MESH at DK_N_T times, the PDE residual on
     PDE_MESH.
 
     Every sweep evaluates t in batches and reduces each t on its own, in t
@@ -495,7 +493,7 @@ def check_theorem_A(
     grid = grid or ChainGrid()
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
-    ts = grid.t_samples(window)
+    ts = _times(N_T, grid.t_max, window)
 
     def modulus(Z, T):
         return np.abs(chain_eval_array(spec, Z, T))
@@ -519,7 +517,7 @@ def check_theorem_A(
     # row's peak fails exactly when one of its values does
     fine = GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta)
     Zf = disc_grid(fine, r_max=r0)
-    tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples(window)
+    tf = _times(2 * N_T, grid.t_max, window)
     k0_refined_ok = all(
         peak <= K0_claimed * abs(complex(spec.a1(t)))
         for t, peak in _rows(lambda Z, T: modulus(Z, T).max(axis=1), Zf, tf)
@@ -536,7 +534,7 @@ def check_theorem_A(
     )
 
     dk_sup = check_dk(spec, grid.t_max)
-    resid = pde_residual_sup(spec, r0, ChainGrid(PDE_MESH, grid.n_t, grid.t_max))
+    resid = pde_residual_sup(spec, r0, grid.t_max)
     subordinate = subordination_ok(spec, r0)
 
     passed = (

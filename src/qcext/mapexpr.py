@@ -692,16 +692,6 @@ def compose(m: MapExpr, inner: MapExpr) -> MapExpr:
 # Jets
 
 
-@dataclass(frozen=True)
-class SeriesJet:
-    """Truncated Taylor expansion at 0: sum c_j z^j."""
-
-    coeffs: tuple[complex, ...]
-
-    def __getitem__(self, j: int) -> complex:
-        return self.coeffs[j]
-
-
 def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = len(a)
     return np.convolve(a, b)[:n]
@@ -729,9 +719,9 @@ def _series_quotient(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return series_mul(pa, series_inv(pb))
 
 
-def taylor_jet(m: MapExpr | Node, order: int) -> SeriesJet:
-    """Taylor coefficients c_0..c_order at 0, the power series of the
-    rational normal form P/Q.
+def taylor_jet(m: MapExpr | Node, order: int) -> tuple[complex, ...]:
+    """Taylor coefficients (c_0, ..., c_order) at 0, the power series of the
+    rational normal form P/Q, as a tuple of Python complexes.
 
     Raises PoleAtCenterError when Q(0) is (numerically) zero, a removable
     zero of P and Q included.
@@ -740,7 +730,7 @@ def taylor_jet(m: MapExpr | Node, order: int) -> SeriesJet:
         raise ValueError("jet order must be at least 2")
     P, Q = rational_form(m)
     coeffs = _series_quotient(P, Q, order + 1)
-    return SeriesJet(tuple(complex(c) for c in coeffs))
+    return tuple(complex(c) for c in coeffs)
 
 
 def laurent_at_infinity(m: MapExpr | Node, order: int) -> tuple[int, np.ndarray]:

@@ -306,12 +306,11 @@ def run_verify(
         notes.append("negative control: failure is the documented outcome")
 
     overall = verdict.passed and all(v.holds for v in verdicts)
-    bsum = verdict.summary()
     report = VerificationReport(
         map_text=text,
         class_verdicts=tuple(verdicts),
         extension=em.summary(),
-        beltrami=bsum,
+        beltrami=dataclasses.asdict(verdict),
         loewner=None,
         overall=overall,
         grid=f"{gs.n_r}x{gs.n_theta}",

@@ -98,10 +98,10 @@ DISC = (0.05, 1.0 - SEAM_MARGIN)
 def _bound_cases():
     for lam in (0.25, 0.5, 0.75):
         for theta in (0.0, math.pi / 3):
-            f = BUILTINS["example1"].map({"lambda": lam, "theta": theta})
+            f = parse_map(BUILTINS["example1"].text({"lambda": lam, "theta": theta}))
             yield f"example1 lam={lam} theta={theta:.2f}", ext_huang_owa(f), lam, EXTERIOR
     for lam in (0.25, 0.5, 0.75):
-        f = BUILTINS["example2"].map({"lambda": lam})
+        f = parse_map(BUILTINS["example2"].text({"lambda": lam}))
         yield f"example2 lam={lam}", ext_thm2(f), lam, EXTERIOR
     yield "example3 p=0.5 lam=0.5", ext_huang_owa(EX3), 0.5, EXTERIOR
     for a2 in (0.3 + 0j, 0.5 + 0.2j):
@@ -127,7 +127,7 @@ def test_criterion_1_dilatation_bounds():
             verdict = certify_qc(em, _annulus(lo, hi, 400), claimed_k=claimed)
             assert verdict.mu_ok, (label, verdict.sup_mu, verdict.claimed_k)
             assert verdict.orientation_ok, (label, verdict.jacobian_min)
-            assert verdict.seam.sup_chordal <= 1e-9, (label, verdict.seam)
+            assert verdict.seam_sup_chordal <= 1e-9, (label, verdict.seam_sup_chordal)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ MALFORMED = [
 def test_criterion_8_parser_round_trip():
     with criterion(8, "round-trip: corpus + 1000 random strings, 20 offsets"):
         for ex in BUILTINS.values():
-            t = ex.map()
+            t = parse_map(ex.text())
             assert parse_map(print_expr(t.root)).root == t.root, ex.id
 
         rng = random.Random(20260823)
@@ -358,7 +358,7 @@ def test_criterion_9_determinism():
         assert code_a == code_b == 0
         assert a.to_json() == b.to_json()
 
-        ident = BUILTINS["identity"].map()
+        ident = parse_map(BUILTINS["identity"].text())
         img1 = render_map(lambda Z: eval_array(ident, Z), "grid", 256)
         img2 = render_map(lambda Z: eval_array(ident, Z), "grid", 256)
         assert np.array_equal(img1, img2)

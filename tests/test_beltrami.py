@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -129,6 +130,13 @@ def test_grid_exclusions_punch_holes():
     assert beltrami_field(em, points).n_points == np.count_nonzero(outside)
 
 
+def test_zones_that_hold_no_point_leave_the_points_uncopied():
+    points = _disc(64, 64)
+    assert _apply_zones(points, []) is points
+    assert _apply_zones(points, [(0.5, POLE_EXCLUSION)]) is points
+    assert _apply_zones(points, [(points[7], 1e-9)]).size == points.size - 1
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -199,8 +207,8 @@ def _whole_side_field(em, points):
     "em",
     [
         ext_mobius_convex(0.5),
-        ext_huang_owa(get_builtin("example3").map()),
-        ext_thm2(get_builtin("example2").map()),
+        ext_huang_owa(parse_map(get_builtin("example3").text())),
+        ext_thm2(parse_map(get_builtin("example2").text())),
     ],
     ids=["mobius_convex", "example3", "example2"],
 )
@@ -272,15 +280,16 @@ def test_certify_flags_injected_seam_fault():
         special_points=base.special_points,
         claimed_k=base.claimed_k,
     )
-    gap = seam_gap(fault)
-    assert abs(gap.sup_abs - 0.1) < 1e-6
+    sup_abs, _ = seam_gap(fault)
+    assert abs(sup_abs - 0.1) < 1e-6
     verdict = certify_qc(fault, field_points(GridSpec(16, 16)))
     assert not verdict.seam_ok and not verdict.passed
     assert verdict.mu_ok  # the shift leaves derivatives alone
 
 
 def test_verdict_summary_shape():
-    s = certify_qc(ext_mobius_convex(0.5), field_points(GridSpec(16, 16))).summary()
+    # run_verify stores the verdict's fields as the report's beltrami section
+    s = asdict(certify_qc(ext_mobius_convex(0.5), field_points(GridSpec(16, 16))))
     assert s["passed"] is True
     for key in ("sup_mu", "claimed_k", "jacobian_min", "seam_sup_chordal", "n_points"):
         assert key in s

@@ -1,14 +1,20 @@
+import io
 import json
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcext import cli, loewner, report
 from qcext.cli import main
+from qcext.corpus import THEOREMS
 from qcext.grids import GridSpec
-from qcext.loewner import ChainGrid
+from qcext.loewner import CHAIN_KINDS, ChainGrid
+from qcext.mapexpr import const_text
 from qcext.report import build_extension
 
 
@@ -348,3 +354,33 @@ def test_unknown_builtin_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--builtin", "warp"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the whole pipeline on random normalized maps
+
+_coeff = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=10, derandomize=True)
+@given(st.lists(_coeff, max_size=2), st.lists(_coeff, min_size=1, max_size=2))
+def test_pipeline_exits_with_a_code_on_random_normalized_maps(num, den):
+    # f = z (1 + a1 z + ...) / (1 + b1 z + ...) has f(0) = 0 and f'(0) = 1
+    def poly(cs):
+        return "+".join(["1"] + [f"{const_text(c)}*z^{j}" for j, c in enumerate(cs, 1)])
+
+    text = f"z*({poly(num)})/({poly(den)})"
+    runs = [["verify", "--theorem", t] for t in THEOREMS]
+    runs += [["chain", "--chain", kind] for kind in CHAIN_KINDS]
+    for run in runs:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(run + ["--map", text, "--grid", "8x8", "--no-timestamp"])
+        assert code in (0, 1, 2, 3), (text, run, code)
+        if code == 0:
+            doc = json.loads(out.getvalue())
+            if run[0] == "verify":
+                assert all(v["n_samples"] > 0 for v in doc["class_verdicts"]), (text, run)
+                assert doc["beltrami"]["n_points"] > 0, (text, run)
+            else:
+                assert doc["loewner"]["passed"] is True, (text, run)

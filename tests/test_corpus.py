@@ -37,13 +37,13 @@ def test_substitution_example2():
 
 def test_example1_rotation_enters_the_jet():
     ex = get_builtin("example1")
-    f = ex.map({"lambda": 0.5, "theta": math.pi / 3})
+    f = parse_map(ex.text({"lambda": 0.5, "theta": math.pi / 3}))
     c2 = taylor_jet(f, 3)[2]
     assert abs(c2 - 1.5 * cmath.exp(1j * math.pi / 3)) < 1e-9
 
 
 def test_example3_factored_form():
-    got = get_builtin("example3").map()
+    got = parse_map(get_builtin("example3").text())
     ref = parse_map("z/((1-2*z)*(1-0.25*z))")
     Z = np.linspace(-0.7, 0.7, 41) + 0.11j
     assert np.max(np.abs(eval_array(got, Z) - eval_array(ref, Z))) < 1e-12
@@ -64,23 +64,23 @@ def test_chain_text_for_decay_family():
 
 def test_all_builtins_parse_at_defaults():
     for ex in BUILTINS.values():
-        ex.map()
+        parse_map(ex.text())
 
 
 def test_positive_builtins_pass_their_class_checks():
     for ex in BUILTINS.values():
         if ex.class_name is None or ex.negative:
             continue
-        verdict = check_class(ex.map(), ex.class_name, ex.class_params())
+        verdict = check_class(parse_map(ex.text()), ex.class_name, ex.class_params())
         assert verdict.holds, (ex.id, verdict.worst_value, verdict.bound)
 
 
 def test_negative_controls_fail_as_documented():
     koebe = get_builtin("koebe")
-    verdict = check_class(koebe.map(), "U_lambda", koebe.class_params())
+    verdict = check_class(parse_map(koebe.text()), "U_lambda", koebe.class_params())
     assert not verdict.holds
     # the p-symmetric pole map sits on the lambda=1 boundary: membership at
     # the boundary holds, but the derived dilatation bound degenerates to 1
     kp = get_builtin("kp")
-    assert check_class(kp.map(), "V_p_lambda", kp.class_params()).holds
-    assert ext_huang_owa(kp.map()).claimed_k >= 1.0 - 1e-9
+    assert check_class(parse_map(kp.text()), "V_p_lambda", kp.class_params()).holds
+    assert ext_huang_owa(parse_map(kp.text())).claimed_k >= 1.0 - 1e-9

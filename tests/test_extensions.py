@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -271,24 +272,24 @@ def built_corpus():
 
 def test_seam_gap_tight_everywhere(built_corpus):
     for name, em in built_corpus.items():
-        gap = seam_gap(em)
-        assert gap.sup_chordal <= 1e-9, (name, gap)
-        assert gap.sup_abs <= 1e-9, (name, gap)
+        sup_abs, sup_chordal = seam_gap(em)
+        assert sup_chordal <= 1e-9, (name, sup_chordal)
+        assert sup_abs <= 1e-9, (name, sup_abs)
 
 
 def test_seam_gap_boundary_pole_chordal():
     # branch values blow up together near the seam pole of example 1
     em = ext_huang_owa(EX1)
-    gap = seam_gap(em)
-    assert gap.sup_chordal <= 1e-9
-    assert math.isfinite(gap.sup_abs)
+    sup_abs, sup_chordal = seam_gap(em)
+    assert sup_chordal <= 1e-9
+    assert math.isfinite(sup_abs)
 
 
 def _builtin_extension(bid):
     ex = get_builtin(bid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return build_extension(ex.theorem, ex.map(), ex.params())
+        return build_extension(ex.theorem, parse_map(ex.text()), ex.params())
 
 
 def _whole_side_reference(em, Z):
@@ -399,18 +400,54 @@ def test_becker_dilatation_is_the_herglotz_ratio(bid):
     assert np.max(np.abs(fzb / fz - want)) <= 1e-9
 
 
+def _rotations(f):
+    """(j, f_theta) for f_theta(z) = e^{-i theta} f(e^{i theta} z) at a few
+    theta = 2 pi j / 4096."""
+    for j in (1, 7, 512, 1365, 2048, 3000):
+        theta = 2.0 * math.pi * j / 4096
+        spin = MapExpr(Mul(Const(cmath.exp(1j * theta)), Var()))
+        yield j, MapExpr(Mul(Const(cmath.exp(-1j * theta)), compose(f, spin).root))
+
+
+def _conjugate(node):
+    """The tree of conj(f(conj z)): f's tree with every constant conjugated."""
+    if isinstance(node, Const):
+        return Const(node.value.conjugate())
+    kids = {
+        fld.name: _conjugate(getattr(node, fld.name))
+        for fld in dataclasses.fields(node)
+        if fld.name != "exponent"
+    }
+    return dataclasses.replace(node, **kids)
+
+
 @pytest.mark.parametrize("bid", builtin_ids())
 def test_rotation_keeps_claimed_k(bid):
-    # f_theta(z) = e^{-i theta} f(e^{i theta} z) maps the seam samples onto
-    # themselves for theta = 2 pi j / 4096, so the seam sups agree
+    # f_theta maps the seam samples onto themselves for theta = 2 pi j / 4096,
+    # so the seam sups agree
     ex = get_builtin(bid)
-    f = ex.map()
+    f = parse_map(ex.text())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         k = build_extension(ex.theorem, f, ex.params()).claimed_k
-        for j in (1, 7, 512, 1365, 2048, 3000):
-            theta = 2.0 * math.pi * j / 4096
-            spin = MapExpr(Mul(Const(cmath.exp(1j * theta)), Var()))
-            f_theta = MapExpr(Mul(Const(cmath.exp(-1j * theta)), compose(f, spin).root))
+        for j, f_theta in _rotations(f):
             k_theta = build_extension(ex.theorem, f_theta, ex.params()).claimed_k
             assert abs(k_theta - k) <= 1e-12 * max(1.0, k), (j, k, k_theta)
+
+
+@pytest.mark.parametrize("bid", builtin_ids())
+def test_conjugate_keeps_claimed_k(bid):
+    # conj(f(conj z)) reflects the seam samples onto themselves and keeps
+    # every criterion's modulus, on the builtin and on its rotations
+    ex = get_builtin(bid)
+    f = parse_map(ex.text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        k = build_extension(ex.theorem, f, ex.params()).claimed_k
+        for j, g in [(0, f), *_rotations(f)]:
+            g_bar = MapExpr(_conjugate(g.root))
+            Z = np.array([0.2 + 0.6j, -0.4j, 0.7 - 0.1j])
+            want = np.conj(eval_array(g, np.conj(Z)))
+            assert np.allclose(eval_array(g_bar, Z), want, rtol=1e-12, atol=0.0), j
+            k_bar = build_extension(ex.theorem, g_bar, ex.params()).claimed_k
+            assert abs(k_bar - k) <= 1e-12 * max(1.0, k), (j, k, k_bar)

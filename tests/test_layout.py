@@ -6,7 +6,8 @@ no longer resolves would make a traced run fail.  The tracer is loaded from
 its file, so this test needs nothing from perfbench on the import path.
 Every module but __init__.py uses each name it imports, every top-level
 private name is used somewhere in the package outside its own definition,
-and so is every public one that qcext does not export in __all__.
+and so is every public one that qcext does not export in __all__ and every
+public method of a top-level class.
 """
 
 import ast
@@ -61,9 +62,27 @@ def test_no_unused_imports_in_the_package():
     assert not unused, unused
 
 
-def _unused_top_level_names(wanted):
-    """module:line name for each top-level name that wanted(name) selects
-    and that nothing in the package names outside its own definition."""
+def _definitions(tree, methods):
+    """(label, name, node) for each top-level definition of the module and,
+    with methods, each method of its top-level classes as Class.method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, t.id, node
+        if methods and isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _unused_top_level_names(wanted, methods=False):
+    """module:line name for each top-level name (and, with methods, each
+    method of a top-level class) that wanted(name) selects and that nothing
+    in the package names outside its own definition."""
     src = Path(__file__).resolve().parents[1] / "src" / "qcext"
     trees = {
         p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))
@@ -79,22 +98,14 @@ def _unused_top_level_names(wanted):
                 uses += [(mod, node.lineno, a.name) for a in node.names]
     unused = []
     for mod, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
+        for label, name, node in _definitions(tree, methods):
+            if not wanted(label):
                 continue
             span = range(node.lineno, node.end_lineno + 1)
-            for name in names:
-                if not wanted(name):
-                    continue
-                if not any(
-                    n == name and not (m == mod and line in span) for m, line, n in uses
-                ):
-                    unused.append(f"{mod}:{node.lineno} {name}")
+            if not any(
+                n == name and not (m == mod and line in span) for m, line, n in uses
+            ):
+                unused.append(f"{mod}:{node.lineno} {label}")
     return unused
 
 
@@ -109,9 +120,13 @@ def test_every_private_name_is_used_in_the_package():
 
 def test_every_public_name_is_used_or_exported():
     # a public top-level name that no other definition uses and qcext does
-    # not export serves only the tests, which is dead code in the package
+    # not export serves only the tests, which is dead code in the package;
+    # so does a public method that nothing in the package calls, whether or
+    # not its class is exported
     exported = set(importlib.import_module("qcext").__all__)
     unused = _unused_top_level_names(
-        lambda name: not name.startswith("_") and name not in exported
+        lambda label: not label.rpartition(".")[2].startswith("_")
+        and label not in exported,
+        methods=True,
     )
     assert not unused, unused

@@ -369,10 +369,9 @@ def test_working_radius():
 
 
 def test_chain_grid_excludes_window():
-    grid = ChainGrid()
-    ts = grid.t_samples((0.3, 0.4))
+    ts = loewner._times(loewner.N_T, ChainGrid().t_max, (0.3, 0.4))
     assert np.all((ts < 0.3) | (ts > 0.4))
-    assert len(ts) < grid.n_t
+    assert len(ts) < loewner.N_T
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +391,10 @@ def _corpus_spec(kind, text):
         return build_chain(kind, parse_map(text))
 
 
-def _one_t_dk(spec, grid):
-    Z = disc_grid(grid.z)
+def _one_t_dk(spec, mesh, ts):
+    Z = disc_grid(mesh)
     sup = 0.0
-    for t in grid.t_samples():
+    for t in ts:
         vals = loewner.dk_radius_field(spec, Z, t)
         sup = max(sup, float(np.max(vals)))
         if spec.kind == "thm2_eq3":
@@ -411,10 +410,10 @@ def _one_t_dk(spec, grid):
     return sup
 
 
-def _one_t_pde(spec, r0, grid):
-    Z = disc_grid(grid.z, r_max=r0)
+def _one_t_pde(spec, r0, mesh, ts):
+    Z = disc_grid(mesh, r_max=r0)
     sup = 0.0
-    for t in grid.t_samples(spec.a1_zero_window(grid.t_max)):
+    for t in ts:
         ft = (
             loewner.chain_eval_array(spec, Z, t + loewner.H_T)
             - loewner.chain_eval_array(spec, Z, t - loewner.H_T)
@@ -461,7 +460,7 @@ def _one_t_report(spec, grid):
     """check_theorem_A with one chain call per t, as before the batches."""
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
-    ts = grid.t_samples(window)
+    ts = loewner._times(64, grid.t_max, window)
 
     Zr = disc_grid(grid.z, r_max=r0)
     K0 = K0_half = 0.0
@@ -479,7 +478,7 @@ def _one_t_report(spec, grid):
 
     Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=r0)
     k0_refined_ok = True
-    for t in ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples(window):
+    for t in loewner._times(128, grid.t_max, window):
         vals = np.abs(loewner.chain_eval_array(spec, Zf, t))
         if not np.all(vals <= K0_claimed * abs(complex(spec.a1(t)))):
             k0_refined_ok = False
@@ -492,8 +491,8 @@ def _one_t_report(spec, grid):
         re = np.where(np.isfinite(p.real), p.real, -np.inf)
         min_re = min(min_re, float(np.min(re)))
 
-    dk_sup = _one_t_dk(spec, ChainGrid(GridSpec(32, 32), 16, grid.t_max))
-    resid = _one_t_pde(spec, r0, ChainGrid(GridSpec(24, 24), grid.n_t, grid.t_max))
+    dk_sup = _one_t_dk(spec, GridSpec(32, 32), loewner._times(16, grid.t_max))
+    resid = _one_t_pde(spec, r0, GridSpec(24, 24), ts)
     subordinate = _one_t_subordination(spec, r0)
     passed = (
         min_re > 0.0
@@ -538,7 +537,7 @@ def _outcome(check, spec, grid):
 @pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
 def test_batched_checks_match_one_t_loops(bid, kind, text, z, t_max):
     spec = _corpus_spec(kind, text)
-    grid = ChainGrid(z, 64, t_max)
+    grid = ChainGrid(z, t_max)
     assert _outcome(check_theorem_A, spec, grid) == _outcome(_one_t_report, spec, grid)
 
 
@@ -580,7 +579,7 @@ def test_singularity_inside_a_batch_is_the_first_one_t_failure(monkeypatch):
     spec = build_chain("thm2_eq3", EX2)
     grid = ChainGrid()
     Zr = disc_grid(grid.z, r_max=working_radius(spec))
-    ts = grid.t_samples(spec.a1_zero_window(grid.t_max))
+    ts = loewner._times(64, grid.t_max, spec.a1_zero_window(grid.t_max))
     rows = CHAIN_BATCH_POINTS // Zr.size
     assert rows == 4  # t index 5 sits mid-way through the second batch
     # the first failure in (t, z) order, then a later z at the same t and an
@@ -611,7 +610,7 @@ def test_refined_k0_fails_on_the_second_row_of_a_batch(monkeypatch, failure):
     K0_claimed = check_theorem_A(spec, grid).K0
     r0 = working_radius(spec)
     Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=r0)
-    tf = ChainGrid(grid.z, 2 * grid.n_t, grid.t_max).t_samples()
+    tf = loewner._times(128, grid.t_max)
     # the refined K0 grid fills a whole batch; two of its rows per batch
     # still sit below the elision floor, so the report must not change
     assert CHAIN_BATCH_POINTS // Zf.size == 1

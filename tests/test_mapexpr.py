@@ -291,7 +291,7 @@ def test_compose():
 
 def test_jet_identity():
     jet = taylor_jet(parse_map("z"), 4)
-    assert jet.coeffs == (0j, 1 + 0j, 0j, 0j, 0j)
+    assert jet == (0j, 1 + 0j, 0j, 0j, 0j)
 
 
 def test_jet_a2_of_kp_lambda():
@@ -319,9 +319,9 @@ def test_jet_cauchy_product():
     g = parse_map("1+0.5*z^2")
     prod = parse_map("(z/(1-z))*(1+0.5*z^2)")
     J = 6
-    jf = np.array(taylor_jet(f, J).coeffs)
-    jg = np.array(taylor_jet(g, J).coeffs)
-    jp = np.array(taylor_jet(prod, J).coeffs)
+    jf = np.array(taylor_jet(f, J))
+    jg = np.array(taylor_jet(g, J))
+    jp = np.array(taylor_jet(prod, J))
     cauchy = np.convolve(jf, jg)[: J + 1]
     assert np.max(np.abs(jp - cauchy)) < 1e-12
 

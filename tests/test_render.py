@@ -180,7 +180,7 @@ def test_extension_render_memory_peak(bid):
     ex = get_builtin(bid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        em = build_extension(ex.theorem, ex.map(), ex.params())
+        em = build_extension(ex.theorem, parse_map(ex.text()), ex.params())
     tracemalloc.start()
     try:
         render_map(em.evaluate_array, "domaincolor", 512)
