@@ -6,7 +6,10 @@ the base map and t (never by time integration).  check_theorem_A tests the
 textbook characterization on grids: normalization f(0,t)=0 with prescribed
 first coefficient a1(t), a fitted growth bound |f| <= K0 |a1(t)|, positivity
 of Re p, and the transition PDE df/dt = z f' p with derivatives taken by
-central differences so the closed forms are verified independently.
+central differences so the closed forms are verified independently.  The
+K0 sweeps take max |f| on the outer ring of their meshes when _pole_free
+certifies that no f(., t) has a pole in the working disc, and on the whole
+mesh otherwise.
 
 check_dk measures how deep p(z,t) sits in the disc-of-hyperbolic-radius set
 {|w-1|/|w+1| <= k}; staying inside with k < 1 is the quantitative form of
@@ -62,6 +65,8 @@ TAU_F0 = 1e-12
 TAU_W0 = 1e-9
 # a1_zero_window: |a1| at most this times max(1, |c_lead|) counts as a zero
 TAU_A1_ZERO = 1e-2
+# _pole_free: relative margin its certificates keep on top of |z| <= r0
+TAU_POLE_MARGIN = 1e-9
 
 CHAIN_KINDS = (
     "thm2_eq3",
@@ -475,6 +480,39 @@ def pde_residual_sup(spec: LoewnerChainSpec, r0: float, t_max: float = T_MAX) ->
     return max((float(np.max(row)) for _, row in _rows(resid, Z, ts)), default=0.0)
 
 
+def _pole_free(spec: LoewnerChainSpec, r0: float, times: np.ndarray) -> bool:
+    """True when it is certain that no f(., t), t in times, has a pole in
+    |z| <= r0; False when that cannot be certified.
+
+    The poles of the thm5, convex and exterior chains are those of
+    time_zero_map, fixed or scaled by e^t >= 1, so one poles_in_disc call
+    covers every t.  Those of thm2_eq3 and krzyz_eq9 can move in.  Their
+    denominator is e^-t X(u) + e^t Y(u) with u = e^-t z: X = P/z, Y = A/z
+    from _stable_ratio for thm2 (uncertified unless P and A vanish exactly
+    at 0), and X = Q_w, Y = z P_w for krzyz.  Per t, Rouche's theorem
+    certifies it root-free on the closed disc when its constant coefficient
+    outweighs the rest of the polynomial on |z| = r0.
+    """
+    if spec.kind not in ("thm2_eq3", "krzyz_eq9"):
+        return not poles_in_disc(time_zero_map(spec), r0 * (1.0 + TAU_POLE_MARGIN))
+    if spec.kind == "thm2_eq3":
+        P, A = _stable_ratio(spec.base_map)
+        if P[0] != 0 or A[0] != 0:
+            return False
+        X, Y = P[1:], A[1:]
+    else:
+        Pw, X = rational_form(spec.base_map)
+        Y = np.concatenate([[0], Pw])
+    k = np.arange(max(len(X), len(Y)))
+    Xk, Yk = (np.pad(c, (0, k.size - len(c))) for c in (X, Y))
+    T = np.asarray(times, dtype=np.float64)[:, None]
+    em = np.exp(-T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.abs((em * Xk + np.exp(T) * Yk) * em**k)
+        rest = c[:, 1:] @ r0 ** k[1:]
+        return bool(np.all(c[:, 0] > (1.0 + TAU_POLE_MARGIN) * rest))
+
+
 def check_theorem_A(
     spec: LoewnerChainSpec, grid: ChainGrid | None = None
 ) -> ChainCheckReport:
@@ -487,19 +525,32 @@ def check_theorem_A(
     D(k) always runs on DK_MESH at DK_N_T times, the PDE residual on
     PDE_MESH.
 
+    When _pole_free certifies that no f(., t) at a swept t has a pole in
+    the closed r0-disc, both K0 sweeps run on the outermost ring of their
+    meshes only (n_theta and 2 * n_theta points at radius r0, the bits of
+    disc_grid's last row): f(0, t) = 0, so by the maximum principle and
+    Schwarz's lemma max |f| over the disc lies on that circle, and the
+    ring's samples stand for the mesh.  Otherwise they run on the full
+    meshes, which stay the only path for inputs _pole_free refuses.
+
     Every sweep evaluates t in batches and reduces each t on its own, in t
     order (_rows), so a non-finite K0 sample raises ChainSingularityError at
-    the first (t, z) a one-t loop would meet."""
+    the first (t, z) a one-t loop on the same mesh would meet."""
     grid = grid or ChainGrid()
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
     ts = _times(N_T, grid.t_max, window)
+    tf = _times(2 * N_T, grid.t_max, window)
+    on_ring = _pole_free(spec, r0, np.concatenate([ts, tf]))
+
+    def k0_mesh(mesh: GridSpec) -> np.ndarray:
+        return disc_grid(GridSpec(1, mesh.n_theta) if on_ring else mesh, r_max=r0)
 
     def modulus(Z, T):
         return np.abs(chain_eval_array(spec, Z, T))
 
     # growth constant on the working disc, normalized by a1
-    Zr = disc_grid(grid.z, r_max=r0)
+    Zr = k0_mesh(grid.z)
     K0 = 0.0
     K0_half = 0.0
     for t, row in _rows(modulus, Zr, ts):
@@ -515,9 +566,7 @@ def check_theorem_A(
 
     # re-verify the fitted bound on a doubled mesh; max propagates NaN, so a
     # row's peak fails exactly when one of its values does
-    fine = GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta)
-    Zf = disc_grid(fine, r_max=r0)
-    tf = _times(2 * N_T, grid.t_max, window)
+    Zf = k0_mesh(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta))
     k0_refined_ok = all(
         peak <= K0_claimed * abs(complex(spec.a1(t)))
         for t, peak in _rows(lambda Z, T: modulus(Z, T).max(axis=1), Zf, tf)

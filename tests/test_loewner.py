@@ -35,6 +35,7 @@ NEG_DERIV = parse_map("-z+0.3*z^2")
 G_U = parse_map("z+0.12/z")
 G_INV = parse_map("z^2/(0.3-z)")
 W_LIN = parse_map("0.5*z")
+POLE_INSIDE = parse_map("z/(1-30*z)")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,15 @@ CORPUS_CHAINS = [
     for bid in builtin_ids()
     if get_builtin(bid).chain
 ]
+# chains whose poles are in, or can move into, the r0-disc: _pole_free
+# refuses them, so their K0 sweeps keep the full meshes
+UNCERTIFIED_CHAINS = [
+    ("thm2-pole-moves-in", "thm2_eq3", "z/(1-2*z)"),
+    ("thm2-z+0.9z2", "thm2_eq3", "z+0.9*z^2"),
+    ("thm2-z+10z2", "thm2_eq3", "z+10*z^2"),
+    ("thm5-pole-inside", "thm5_chain", "z/(1-30*z)"),
+    ("convex-pole-inside", "convex_chain", "z/(1-30*z)"),
+]
 
 
 def _corpus_spec(kind, text):
@@ -457,7 +467,8 @@ def _one_t_subordination(spec, r0):
 
 
 def _one_t_report(spec, grid):
-    """check_theorem_A with one chain call per t, as before the batches."""
+    """check_theorem_A with one chain call per t on the full K0 meshes, as
+    before the batches and the ring sweeps."""
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
     ts = loewner._times(64, grid.t_max, window)
@@ -534,11 +545,27 @@ def _outcome(check, spec, grid):
     [(GridSpec(32, 32), 5.0), (GridSpec(16, 16), 5.0), (GridSpec(32, 32), 0.2), (GridSpec(32, 32), 2.0)],
     ids=["32x32-t5", "16x16-t5", "32x32-t0.2", "32x32-t2"],
 )
-@pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
+@pytest.mark.parametrize(
+    "bid, kind, text",
+    CORPUS_CHAINS + UNCERTIFIED_CHAINS,
+    ids=[c[0] for c in CORPUS_CHAINS + UNCERTIFIED_CHAINS],
+)
 def test_batched_checks_match_one_t_loops(bid, kind, text, z, t_max):
     spec = _corpus_spec(kind, text)
     grid = ChainGrid(z, t_max)
     assert _outcome(check_theorem_A, spec, grid) == _outcome(_one_t_report, spec, grid)
+
+
+@pytest.mark.parametrize(
+    "bid, kind, text, certified",
+    [c + (True,) for c in CORPUS_CHAINS] + [c + (False,) for c in UNCERTIFIED_CHAINS],
+    ids=[c[0] for c in CORPUS_CHAINS + UNCERTIFIED_CHAINS],
+)
+def test_pole_certificate(bid, kind, text, certified):
+    spec = _corpus_spec(kind, text)
+    window = spec.a1_zero_window()
+    ts = np.concatenate([loewner._times(n, loewner.T_MAX, window) for n in (64, 128)])
+    assert loewner._pole_free(spec, working_radius(spec), ts) is certified
 
 
 @pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
@@ -575,16 +602,8 @@ def test_thm2_reduction_failure_message_is_unchanged(capsys):
     )
 
 
-def test_singularity_inside_a_batch_is_the_first_one_t_failure(monkeypatch):
-    spec = build_chain("thm2_eq3", EX2)
-    grid = ChainGrid()
-    Zr = disc_grid(grid.z, r_max=working_radius(spec))
-    ts = loewner._times(64, grid.t_max, spec.a1_zero_window(grid.t_max))
-    rows = CHAIN_BATCH_POINTS // Zr.size
-    assert rows == 4  # t index 5 sits mid-way through the second batch
-    # the first failure in (t, z) order, then a later z at the same t and an
-    # earlier z at a later t of the same batch
-    bad = [(ts[5], Zr[517]), (ts[5], Zr[900]), (ts[6], Zr[3])]
+def _poison(monkeypatch, bad, value=complex(np.nan, np.nan)):
+    """Make chain_eval_array return value at every (t, z) pair of bad."""
     real = loewner.chain_eval_array
 
     def poisoned(spec, Z, T):
@@ -592,48 +611,93 @@ def test_singularity_inside_a_batch_is_the_first_one_t_failure(monkeypatch):
         hit = np.zeros(out.shape, dtype=bool)
         for t, z in bad:
             hit |= (np.asarray(T) == t) & (np.asarray(Z) == z)
-        return np.where(hit, complex(np.nan, np.nan), out)
+        return np.where(hit, value, out)
 
     monkeypatch.setattr(loewner, "chain_eval_array", poisoned)
+
+
+def _first_singularity(monkeypatch, spec, grid, bad):
+    """(z, t) at which check_theorem_A raises with bad poisoned, after
+    checking that the full-mesh one-t loop raises at the same sample."""
+    _poison(monkeypatch, bad)
     with pytest.raises(ChainSingularityError) as batched:
         check_theorem_A(spec, grid)
     with pytest.raises(ChainSingularityError) as one_t:
         _one_t_report(spec, grid)
     assert (batched.value.z, batched.value.t) == (one_t.value.z, one_t.value.t)
-    assert (batched.value.z, batched.value.t) == (complex(Zr[517]), float(ts[5]))
+    return batched.value.z, batched.value.t
 
 
-@pytest.mark.parametrize("failure", ["nan", "just-above"])
-def test_refined_k0_fails_on_the_second_row_of_a_batch(monkeypatch, failure):
+def test_singularity_inside_a_batch_is_the_first_one_t_failure(monkeypatch):
+    # example2 is certified pole-free, so its K0 sweep runs on the outer ring
+    # of the mesh, the bits of the full mesh's last row
     spec = build_chain("thm2_eq3", EX2)
     grid = ChainGrid()
-    K0_claimed = check_theorem_A(spec, grid).K0
     r0 = working_radius(spec)
-    Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=r0)
-    tf = loewner._times(128, grid.t_max)
-    # the refined K0 grid fills a whole batch; two of its rows per batch
-    # still sit below the elision floor, so the report must not change
-    assert CHAIN_BATCH_POINTS // Zf.size == 1
-    monkeypatch.setattr(loewner, "CHAIN_BATCH_POINTS", 2 * Zf.size)
-    t_bad, z_bad = tf[5], Zf[1234]  # second row of the third batch
+    ring = disc_grid(GridSpec(1, grid.z.n_theta), r_max=r0)
+    assert ring.tobytes() == disc_grid(grid.z, r_max=r0)[-ring.size :].tobytes()
+    ts = loewner._times(64, grid.t_max, spec.a1_zero_window(grid.t_max))
+    assert CHAIN_BATCH_POINTS // ring.size >= ts.size  # one batch of rows
+    # the first failure in (t, z) order, then a later z at the same t and an
+    # earlier z at a later t of the same batch
+    bad = [(ts[5], ring[17]), (ts[5], ring[28]), (ts[6], ring[3])]
+    first = _first_singularity(monkeypatch, spec, grid, bad)
+    assert first == (complex(ring[17]), float(ts[5]))
+
+
+def test_singularity_inside_the_mesh_of_an_uncertified_chain(monkeypatch):
+    # thm5 of z/(1-30*z) has its pole inside the r0-disc, so its K0 sweep
+    # keeps the full mesh and an interior sample still raises
+    spec = build_chain("thm5_chain", POLE_INSIDE)
+    grid = ChainGrid()
+    Zr = disc_grid(grid.z, r_max=working_radius(spec))
+    ts = loewner._times(64, grid.t_max, spec.a1_zero_window(grid.t_max))
+    rows = CHAIN_BATCH_POINTS // Zr.size
+    assert rows == 4  # t index 5 sits mid-way through the second batch
+    bad = [(ts[5], Zr[517]), (ts[5], Zr[900]), (ts[6], Zr[3])]
+    first = _first_singularity(monkeypatch, spec, grid, bad)
+    assert first == (complex(Zr[517]), float(ts[5]))
+
+
+def _refined_k0_failure(monkeypatch, spec, grid, z_bad, failure):
+    """Poison the refined K0 sample z_bad at tf[5], a time no other sweep
+    takes, and check that the report fails as the one-t loop's does."""
+    K0_claimed = check_theorem_A(spec, grid).K0
+    tf = loewner._times(128, grid.t_max, spec.a1_zero_window(grid.t_max))
+    t_bad = tf[5]
     if failure == "nan":
         value = complex(np.nan, np.nan)
     else:
         value = complex(np.nextafter(K0_claimed * abs(complex(spec.a1(t_bad))), np.inf))
-    real = loewner.chain_eval_array
-
-    def poisoned(spec, Z, T):
-        out = real(spec, Z, T)
-        if np.size(Z) != Zf.size:  # only the refined K0 grid
-            return out
-        hit = (np.asarray(T) == t_bad) & (np.asarray(Z) == z_bad)
-        return np.where(hit, value, out)
-
-    monkeypatch.setattr(loewner, "chain_eval_array", poisoned)
+    _poison(monkeypatch, [(t_bad, z_bad)], value)
     batched = _outcome(check_theorem_A, spec, grid)
     assert batched["k0_refined_ok"] is False
     assert batched["passed"] is False
     assert batched == _outcome(_one_t_report, spec, grid)
+
+
+@pytest.mark.parametrize("failure", ["nan", "just-above"])
+def test_refined_k0_fails_on_the_second_row_of_a_batch(monkeypatch, failure):
+    # example2's refined K0 sweep runs on the outer ring of the doubled mesh:
+    # 64 of its 128 times per batch, so tf[5] is the sixth row of the first
+    spec = build_chain("thm2_eq3", EX2)
+    grid = ChainGrid()
+    ring = disc_grid(GridSpec(1, 2 * grid.z.n_theta), r_max=working_radius(spec))
+    assert CHAIN_BATCH_POINTS // ring.size == 64
+    _refined_k0_failure(monkeypatch, spec, grid, ring[40], failure)
+
+
+@pytest.mark.parametrize("failure", ["nan", "just-above"])
+def test_refined_k0_fails_inside_the_mesh_of_an_uncertified_chain(monkeypatch, failure):
+    spec = build_chain("thm5_chain", POLE_INSIDE)
+    grid = ChainGrid()
+    Zf = disc_grid(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta), r_max=working_radius(spec))
+    # the refined K0 mesh fills a whole batch; two of its rows per batch
+    # still sit below the elision floor, so the report must not change
+    assert CHAIN_BATCH_POINTS // Zf.size == 1
+    monkeypatch.setattr(loewner, "CHAIN_BATCH_POINTS", 2 * Zf.size)
+    # Zf[1234] is an interior sample; tf[5] the second row of the third batch
+    _refined_k0_failure(monkeypatch, spec, grid, Zf[1234], failure)
 
 
 @pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
@@ -676,7 +740,9 @@ def test_theorem_a_memory_peak(bid, kind, text):
     # one t per call peaked at 0.31-0.49 MiB, batches of 2^12 points at
     # 0.77-0.89 MiB and batches of 2^13 points at 1.42-1.66 MiB; 3 rows of
     # 4096 points peaked at 2.17-2.18 MiB and broadcasting every t at once
-    # at 17-50 MiB
+    # at 17-50 MiB.  Measured again with numpy 2.4: 0.55-0.74 MiB with both
+    # K0 sweeps on their full meshes, 0.46-0.65 MiB with them on the outer
+    # ring, as every corpus chain is certified pole-free
     spec = _corpus_spec(kind, text)
     check_theorem_A(spec)  # warm the per-map caches
     tracemalloc.start()

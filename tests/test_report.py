@@ -241,6 +241,40 @@ CHAIN_DIGESTS = {
     "neg_deriv": "5399699b6d082a0c49f33bb87975bf1e1a91fec01d10d3fd646b71663d795b98",
 }
 
+# sha256 of run_chain(builtin, grid=grid, tmax=tmax, no_timestamp=True)
+# .to_json(), frozen before the K0 sweeps moved onto the outer ring of their
+# meshes
+CHAIN_GRID_TMAX_DIGESTS = {
+    ("identity", "16x16", 0.2): "fd0f7da828056208df8f34d805fc82365c89a02fedcf42d9279682d993efa9a1",
+    ("example2", "16x16", 0.2): "73bdcebe010be88a71f29cc2038861829958c0be034470fb8ba4b647e8f5c3cf",
+    ("mobius", "16x16", 0.2): "3b7c17eabd7e03a80fbb5b0de2ca0eb418f2949962df2647ef253bb2143bfa2c",
+    ("krzyz", "16x16", 0.2): "9d8501ee55605b528a21ed13860e017c282c74b3f7322b540f7352ca389ec285",
+    ("exterior_u", "16x16", 0.2): "7475525e340b6dc9d7e09952b96c131a69c00c2e1772bd135087fef3c85487e0",
+    ("exterior_pole", "16x16", 0.2): "2f4bace90b596f8bb56fa43621b25514212947fc50243409d93d1088f7166280",
+    ("neg_deriv", "16x16", 0.2): "86eacdbf0162193b9859d504a8d811b3ba940592a544b1f276df26f2ebfbf286",
+    ("identity", "16x16", 2.0): "15ce6516ba7f0a8b86636a2774f1ea1410980da0debe9fd0d795137bb784f86b",
+    ("example2", "16x16", 2.0): "f9d15f4861ea1c412c4494ca73fb17840cfbe513db137a2834e11dbcebdd5f1e",
+    ("mobius", "16x16", 2.0): "9027853a6a79e2405bf8cf30c8c0705351175385ffcfa894f626d1edda8b2c5f",
+    ("krzyz", "16x16", 2.0): "a07771a513d5ca76b4ec1bb5c9d6dffcbbb743271bed65f3c39523703692f4b1",
+    ("exterior_u", "16x16", 2.0): "a14f8ddca9a8e70974886c7811ebd9e00ed0ec81d7f87d32a84019258d4895ed",
+    ("exterior_pole", "16x16", 2.0): "29237cf8e03476404d89b6a106d7c700a5a1672e875110c6f06b260bfde5cc82",
+    ("neg_deriv", "16x16", 2.0): "f16641802a78f81a975b409a061bf5ce37b52c10fdf40ae3a6b337d3256b9ae5",
+    ("identity", "32x32", 0.2): "3a1e2ff17d6c150ca4e5b1e51daf77331346834171efa928d93f6bfdd46dd713",
+    ("example2", "32x32", 0.2): "5affb4004704023525961175e93b759f922428d6d5609baea45fccdffe198c58",
+    ("mobius", "32x32", 0.2): "44feed2960846a7bed6c5911518fe1faf141becd813bec86dc3d81be0114f647",
+    ("krzyz", "32x32", 0.2): "084766316a0d24f37ceace329ec0ac206bb66d3dd279d6818133b3dbf75f3dcb",
+    ("exterior_u", "32x32", 0.2): "d820baf766b72e6f31d55e10a3bc284450237e11c4b9114abb8c97c3e44f05c2",
+    ("exterior_pole", "32x32", 0.2): "bf2e7a2fa8af225c205dfbe150f23018dab2b653de2c1e679520d0146ad5ec47",
+    ("neg_deriv", "32x32", 0.2): "9e7f462e710c3db1ea4841eedfd9beee4f53f902fafa48425f90468d5b7be449",
+    ("identity", "32x32", 2.0): "88ec2ee67ef704f914a505f2bc87661f6cc867617e6f92b797df9e2a173843ff",
+    ("example2", "32x32", 2.0): "e84235feadd2c353572dd79aaf0384e3f30614773003cbdc9ad3f81ecaf6e580",
+    ("mobius", "32x32", 2.0): "cd586f60d4180c09a4ad5b40fac9f434e5bca95fbbc53dd7242c28005e6ec60c",
+    ("krzyz", "32x32", 2.0): "775053a7fd32df31d7fd5458d15a63fce9d98d2b6afcd5beb0b5df44283de935",
+    ("exterior_u", "32x32", 2.0): "162ac241df94a13550f45a9db68aa113305d70a0ec99821b0108ee087b166564",
+    ("exterior_pole", "32x32", 2.0): "d23bc38396641bf25951d806b2bb28c445f17b5aa3b37be618ea3e84c45c6188",
+    ("neg_deriv", "32x32", 2.0): "0ec4441e0140b22fc6331954359b90bface28c315dd06f2fd4828db7725e73de",
+}
+
 
 def _digest(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -260,3 +294,15 @@ def test_chain_report_bytes_are_frozen(builtin):
         warnings.simplefilter("ignore")
         report, _ = run_chain(builtin=builtin, grid="16x16", no_timestamp=True)
     assert _digest(report) == CHAIN_DIGESTS[builtin]
+
+
+@pytest.mark.parametrize(
+    "builtin, grid, tmax",
+    sorted(CHAIN_GRID_TMAX_DIGESTS),
+    ids=[f"{b}-{g}-t{t:g}" for b, g, t in sorted(CHAIN_GRID_TMAX_DIGESTS)],
+)
+def test_chain_report_bytes_at_other_grids_and_horizons_are_frozen(builtin, grid, tmax):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, _ = run_chain(builtin=builtin, grid=grid, tmax=tmax, no_timestamp=True)
+    assert _digest(report) == CHAIN_GRID_TMAX_DIGESTS[builtin, grid, tmax]
