@@ -23,8 +23,11 @@ from .extensions import TAU_SEAM, ExtendedMap, seam_gap
 from .grids import CHART_RADIUS, blocks, polar, seam_circle
 from .sphere import is_infinity
 
+# certify_qc: the sampled sup |mu| may exceed the claimed k by this much
 TAU_MU = 1e-3
+# _field_on_points: a point with |F_z| below this has no usable F_z
 DEGENERATE_TOL = 1e-12
+# _wirtinger_block: stencil step relative to max(1, |z|)
 H_SCALE = 1e-5
 
 

@@ -54,7 +54,11 @@ from .mapexpr import (
 )
 from .sphere import INFINITY, ExtComplex, is_infinity
 
+# check_class, and loewner.check_theorem_A's D(k) sup: a sampled worst
+# value may exceed its bound by this much
 TAU_CLASS = 1e-9
+# radius of the disc around a pole that the V_p_lambda sweep and the
+# Beltrami field's exclusion zones leave out
 POLE_EXCLUSION = 0.02
 # phi_from_map: phi(0) and phi'(0) allowed from the shifted series
 TAU_PHI_ORDER = 1e-9

@@ -2,9 +2,9 @@
 
 Each entry couples a parameterized expression template with the claims that
 ship with it: the extension theorem that applies (and with it the class
-criterion, unless the entry names its own), the chain kind that reproduces
-the extension, and the dilatation bound.  Negative controls are listed with
-the same machinery and are expected to fail their pipelines.
+criterion), the chain kind that reproduces the extension, and the
+dilatation bound.  Negative controls are listed with the same machinery and
+are expected to fail their pipelines.
 
 Parameter substitution happens on the text level: values are rendered with
 const_text and spliced into the template, and the resulting plain grammar
@@ -38,6 +38,16 @@ THEOREM_CLASS = {
 THEOREMS = tuple(THEOREM_CLASS)
 
 
+def theorem_class(theorem: str, params: ParamMap) -> Optional[str]:
+    """The class criterion a theorem assumes for a map with these parameters.
+
+    The psi route with a pole p extends p z/(p - z), which lies in
+    V_p_lambda, not in the U_lambda its unimodular route assumes."""
+    if theorem == "psi" and "p" in params:
+        return "V_p_lambda"
+    return THEOREM_CLASS.get(theorem)
+
+
 def class_params_for(theorem: str, params: ParamMap) -> ClassParams:
     """The criterion parameters a map's own parameters name."""
     kw = {}
@@ -59,8 +69,6 @@ class BuiltinExample:
     defaults: Tuple[Tuple[str, complex], ...]
     theorem: str
     chain: Optional[str] = None
-    # criterion and parameters, where they depart from the theorem's
-    class_name: Optional[str] = None
     negative: bool = False
     # chain input when it differs from the map itself (the decay family
     # drives its chain by w, not by g)
@@ -71,13 +79,10 @@ class BuiltinExample:
     k_of: Optional[Callable[[dict], float]] = field(
         default=None, compare=False, repr=False
     )
+    # criterion parameters, where they depart from the theorem's
     cls_of: Optional[Callable[[dict], ClassParams]] = field(
         default=None, compare=False, repr=False
     )
-
-    def __post_init__(self) -> None:
-        if self.class_name is None:
-            object.__setattr__(self, "class_name", THEOREM_CLASS[self.theorem])
 
     def params(self, overrides: Optional[ParamMap] = None) -> Dict[str, complex]:
         out = {name: complex(val) for name, val in self.defaults}
@@ -91,10 +96,7 @@ class BuiltinExample:
         raw = dict(params)
         if self.slots is not None:
             raw.update(self.slots(params))
-        return {
-            ("lam" if name == "lambda" else name): const_text(val)
-            for name, val in raw.items()
-        }
+        return {name: const_text(val) for name, val in raw.items()}
 
     def text(self, overrides: Optional[ParamMap] = None) -> str:
         return self.template.format_map(self._slot_text(self.params(overrides)))
@@ -140,7 +142,7 @@ BUILTINS: Dict[str, BuiltinExample] = {
         ),
         BuiltinExample(
             id="example2",
-            template="z/(1+{lam}*z^2)",
+            template="z/(1+{lambda}*z^2)",
             defaults=(("lambda", 0.5 + 0j),),
             theorem="t2",
             chain="thm2",
@@ -182,7 +184,6 @@ BUILTINS: Dict[str, BuiltinExample] = {
             template="{p}*z/({p}-z)",
             defaults=(("p", 0.5 + 0j), ("M", 2.0 + 0j)),
             theorem="psi",
-            class_name="V_p_lambda",
             k_of=lambda p: (abs(p["M"]) ** 2 - 1.0) / (abs(p["M"]) ** 2 + 1.0),
         ),
         BuiltinExample(

@@ -35,6 +35,7 @@ from .loewner import (
 )
 from .mapexpr import (
     TAU_COEFF_DUST,
+    TAU_POLE_MARGIN,
     Add,
     Const,
     Div,
@@ -56,14 +57,14 @@ from .mapexpr import (
 )
 from .sphere import ExtComplex, INFINITY, chordal_array, is_infinity
 
+# beltrami.certify_qc: chordal seam gap allowed between the two branches
 TAU_SEAM = 1e-9
 # ExtendedMap: chordal distance allowed between a special point's image and
 # the assembled map's value there
 TAU_SPECIAL_POINT = 1e-6
-# _require_normalized_jet and ext_thm2: |f(0)|, |f'(0) - 1| and |a2|
+# _require_normalized_jet and ext_thm2: |f(0)|, |f'(0) - 1| and |a2|;
+# report.build_extension: |a2 p - 1| for the psi route's p z/(p - z)
 TAU_JET = 1e-9
-# _reflected: poles this far outside the seam still count
-TAU_DISC_POLE = 1e-9
 # ext_huang_owa: |a2| at most this sends infinity to infinity; below it,
 # report.build_extension routes t1 to ext_huang_owa
 TAU_A2_ZERO = 1e-12
@@ -203,7 +204,7 @@ def _reflected(
     """The extension of the disc map f by an outer branch built on
     f(1/z-bar): f's poles on the closed disc go to infinity, and infinity
     goes to at_infinity."""
-    poles = tuple((p, INFINITY) for p in poles_in_disc(f, 1.0 + TAU_DISC_POLE))
+    poles = tuple((p, INFINITY) for p in poles_in_disc(f, 1.0 + TAU_POLE_MARGIN))
     return ExtendedMap(
         inner=f,
         inner_region="disc",

@@ -30,6 +30,7 @@ from .classifiers import TAU_CLASS, exterior_lead, seam_bound, u_field
 from .errors import PreconditionError
 from .grids import CHAIN_BATCH_POINTS, GridSpec, _angles, disc_grid
 from .mapexpr import (
+    TAU_POLE_MARGIN,
     Add,
     Const,
     Div,
@@ -54,19 +55,21 @@ T_MAX = 5.0
 # The corpus's cor1 chain overflows from t = 347.7 on the default grid, and
 # from t = 335.2 at r0 / MAX_GRID_POINTS, the smallest radius a disc grid has.
 T_MAX_LIMIT = 300.0
+# check_theorem_A: sup of the transition PDE residual allowed
 TAU_PDE = 1e-6
+# pde_residual_sup: central-difference step in t
 H_T = 1e-4
+# pde_residual_sup: central-difference step in z
 H_Z = 1e-5
 # check_dk's pointwise gap between the thm2_eq3 ratio and its reduction
 TAU_THM2_REDUCTION = 1e-10
-# build_chain: |f(0)| allowed for thm5_chain and |w(0)| for krzyz_eq9;
-# extensions.ext_exterior warns when the krzyz w has |w(0)| above TAU_W0
+# build_chain: |f(0)| allowed for thm5_chain
 TAU_F0 = 1e-12
+# build_chain: |w(0)| allowed for krzyz_eq9; extensions.ext_exterior warns
+# when the krzyz w has |w(0)| above it
 TAU_W0 = 1e-9
 # a1_zero_window: |a1| at most this times max(1, |c_lead|) counts as a zero
 TAU_A1_ZERO = 1e-2
-# _pole_free: relative margin its certificates keep on top of |z| <= r0
-TAU_POLE_MARGIN = 1e-9
 
 CHAIN_KINDS = (
     "thm2_eq3",

@@ -21,16 +21,18 @@ offset is clamped onto the last byte.
 Every scalar quantity reads the rational normal form P/Q of the map.
 Taylor jets at 0 are the power series of P/Q, and the expansion at infinity
 is the same series of the reversed coefficients, in the chart w = 1/z.
-eval_map works on the Riemann sphere: at a finite z with |z| <= 1 it is
-safe_div(P(z), Q(z)), and for |z| > 1 it divides the reversed polynomials
-at w = 1/z, so Horner's powers stay below 1 in modulus.  A denominator
-below ``TAU_POLE`` relative to the numerator yields ``INFINITY``, and at
-``INFINITY`` the value is the limit the degrees of P and Q give.  Array
-evaluation walks the tree under IEEE semantics.
+eval_map works on the Riemann sphere and owns its quotient rule: at a
+finite z with |z| <= 1 it divides P(z) by Q(z), and for |z| > 1 it divides
+the reversed polynomials at w = 1/z, so Horner's powers stay below 1 in
+modulus.  A denominator at most ``TAU_POLE`` times the numerator, or an
+overflowing quotient, yields ``INFINITY``; 0/0 and a nan quotient raise
+EvalError.  At ``INFINITY`` the value is the limit the degrees of P and Q
+give.  Array evaluation walks the tree under IEEE semantics.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import re
 from dataclasses import dataclass
@@ -38,13 +40,7 @@ from typing import Union
 
 import numpy as np
 
-from .sphere import (
-    INFINITY,
-    ExtComplex,
-    SphereArithmeticError,
-    is_infinity,
-    safe_div,
-)
+from .sphere import INFINITY, ExtComplex, is_infinity
 
 MAX_EXPONENT = 64
 # is_normalized: |f(0)| and |f'(0) - 1| allowed for f = z + O(z^2)
@@ -54,10 +50,15 @@ TAU_NORMALIZED = 1e-12
 TAU_COEFF_DUST = 1e-12
 # poles_in_disc: a root where |P| is at most this times its scale is removable
 TAU_REMOVABLE = 1e-9
+# relative margin on a disc radius: extensions._reflected counts poles this
+# close outside the seam, loewner._pole_free certifies |z| <= r0 with it
+TAU_POLE_MARGIN = 1e-9
 # _trim: trailing coefficients at most this times the scale are dropped
 TAU_TRIM = 1e-14
 # series_inv: a constant term at most this times the scale counts as zero
 TAU_SERIES_CONST = 1e-13
+# eval_map: a denominator at most this times the numerator is a pole
+TAU_POLE = 1e-12
 
 
 class MapExprError(Exception):
@@ -309,6 +310,9 @@ def _fmt_real(x: float) -> str:
     return format(x, ".17g")
 
 
+_SYMBOL = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 def print_expr(node: Node) -> str:
     """Fully parenthesized canonical text; coefficients at 17 significant
     digits.  Parser- and derive-produced trees round-trip exactly."""
@@ -325,14 +329,9 @@ def print_expr(node: Node) -> str:
         return "z"
     if isinstance(node, Neg):
         return "(-" + print_expr(node.child) + ")"
-    if isinstance(node, Add):
-        return "(" + print_expr(node.left) + "+" + print_expr(node.right) + ")"
-    if isinstance(node, Sub):
-        return "(" + print_expr(node.left) + "-" + print_expr(node.right) + ")"
-    if isinstance(node, Mul):
-        return "(" + print_expr(node.left) + "*" + print_expr(node.right) + ")"
-    if isinstance(node, Div):
-        return "(" + print_expr(node.left) + "/" + print_expr(node.right) + ")"
+    if type(node) in _SYMBOL:
+        op = _SYMBOL[type(node)]
+        return "(" + print_expr(node.left) + op + print_expr(node.right) + ")"
     if isinstance(node, Pow):
         return "(" + print_expr(node.base) + "^" + str(node.exponent) + ")"
     raise TypeError(f"not a node: {node!r}")
@@ -363,11 +362,7 @@ def const_node(c: complex) -> Node:
 # Evaluation
 
 
-def _root(m: MapExpr | Node) -> Node:
-    return m.root if isinstance(m, MapExpr) else m
-
-
-def eval_map(m: MapExpr | Node, z: ExtComplex) -> ExtComplex:
+def eval_map(m: MapExpr, z: ExtComplex) -> ExtComplex:
     """Evaluate on the sphere from the rational normal form P/Q.  Poles
     return INFINITY; indeterminate forms raise EvalError."""
     p, q = rational_form(m)
@@ -394,19 +389,25 @@ def eval_map(m: MapExpr | Node, z: ExtComplex) -> ExtComplex:
         else:
             pz = np.polynomial.polynomial.polyval(z, p)
             qz = np.polynomial.polynomial.polyval(z, q)
-    try:
-        return safe_div(pz, qz)
-    except SphereArithmeticError as exc:
-        raise EvalError(str(exc)) from exc
+    num, den = complex(pz), complex(qz)
+    an, ad = abs(num), abs(den)
+    if an == 0.0 and ad == 0.0:
+        raise EvalError("0 / 0")
+    if ad <= TAU_POLE * an:
+        return INFINITY
+    v = num / den
+    if cmath.isnan(v.real) and cmath.isnan(v.imag):
+        raise EvalError("indeterminate value (nan)")
+    return v if cmath.isfinite(v) else INFINITY
 
 
-def eval_array(m: MapExpr | Node, Z: np.ndarray) -> np.ndarray:
+def eval_array(m: MapExpr, Z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation with IEEE semantics: poles become inf/nan
     silently.  Meant for grid sweeps where exceptional points are masked by
     the caller."""
     Z = np.asarray(Z, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _ev_arr(_root(m), Z)
+        out = _ev_arr(m.root, Z)
     return np.broadcast_to(out, Z.shape).astype(np.complex128, copy=False)
 
 
@@ -471,13 +472,13 @@ def _ppow(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def rational_form(m: MapExpr | Node) -> tuple[np.ndarray, np.ndarray]:
+def rational_form(m: MapExpr) -> tuple[np.ndarray, np.ndarray]:
     """The map as a ratio P(z)/Q(z) of polynomials, ascending coefficients.
 
     Exact in the polynomial algebra up to float rounding; no common-factor
     cancellation is attempted.
     """
-    return _rational(_root(m))
+    return _rational(m.root)
 
 
 def shifted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -537,7 +538,7 @@ def _degree(p: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else -1
 
 
-def poles_in_disc(m: MapExpr | Node, radius: float = 1.0) -> list[complex]:
+def poles_in_disc(m: MapExpr, radius: float = 1.0) -> list[complex]:
     """Roots of the denominator with |root| < radius, excluding removable
     candidates where the numerator vanishes as well."""
     P, Q = rational_form(m)
@@ -557,7 +558,7 @@ def poles_in_disc(m: MapExpr | Node, radius: float = 1.0) -> list[complex]:
     return out
 
 
-def nearest_singularity(m: MapExpr | Node) -> float:
+def nearest_singularity(m: MapExpr) -> float:
     """Distance from 0 to the nearest denominator root (inf when entire)."""
     P, Q = rational_form(m)
     if _degree(Q) < 1:
@@ -672,14 +673,8 @@ def compose(m: MapExpr, inner: MapExpr) -> MapExpr:
             return node
         if isinstance(node, Neg):
             return Neg(sub(node.child))
-        if isinstance(node, Add):
-            return Add(sub(node.left), sub(node.right))
-        if isinstance(node, Sub):
-            return Sub(sub(node.left), sub(node.right))
-        if isinstance(node, Mul):
-            return Mul(sub(node.left), sub(node.right))
-        if isinstance(node, Div):
-            return Div(sub(node.left), sub(node.right))
+        if type(node) in _SYMBOL:
+            return type(node)(sub(node.left), sub(node.right))
         if isinstance(node, Pow):
             return Pow(sub(node.base), node.exponent)
         raise TypeError(f"not a node: {node!r}")
@@ -690,11 +685,6 @@ def compose(m: MapExpr, inner: MapExpr) -> MapExpr:
 
 # ---------------------------------------------------------------------------
 # Jets
-
-
-def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(a)
-    return np.convolve(a, b)[:n]
 
 
 def series_inv(a: np.ndarray) -> np.ndarray:
@@ -716,10 +706,10 @@ def _series_quotient(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     pa[: min(n, len(a))] = a[:n]
     pb = np.zeros(n, dtype=np.complex128)
     pb[: min(n, len(b))] = b[:n]
-    return series_mul(pa, series_inv(pb))
+    return np.convolve(pa, series_inv(pb))[:n]
 
 
-def taylor_jet(m: MapExpr | Node, order: int) -> tuple[complex, ...]:
+def taylor_jet(m: MapExpr, order: int) -> tuple[complex, ...]:
     """Taylor coefficients (c_0, ..., c_order) at 0, the power series of the
     rational normal form P/Q, as a tuple of Python complexes.
 
@@ -733,7 +723,7 @@ def taylor_jet(m: MapExpr | Node, order: int) -> tuple[complex, ...]:
     return tuple(complex(c) for c in coeffs)
 
 
-def laurent_at_infinity(m: MapExpr | Node, order: int) -> tuple[int, np.ndarray]:
+def laurent_at_infinity(m: MapExpr, order: int) -> tuple[int, np.ndarray]:
     """Expansion at infinity: returns (k, c) with
     m(z) = sum_j c[j] * z^(k - j), j = 0..order, c[0] != 0.
 
@@ -749,7 +739,7 @@ def laurent_at_infinity(m: MapExpr | Node, order: int) -> tuple[int, np.ndarray]
     return dp - dq, _series_quotient(P[dp::-1], Q[dq::-1], order + 1)
 
 
-def is_normalized(m: MapExpr | Node) -> bool:
+def is_normalized(m: MapExpr) -> bool:
     """True when the jet at 0 starts z + O(z^2)."""
     try:
         jet = taylor_jet(m, 2)

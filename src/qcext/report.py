@@ -18,10 +18,11 @@ import numpy as np
 
 from .beltrami import certify_qc
 from .classifiers import ClassVerdict, check_class
-from .corpus import THEOREM_CLASS, THEOREMS, class_params_for, get_builtin
+from .corpus import THEOREMS, class_params_for, get_builtin, theorem_class
 from .errors import PreconditionError
 from .extensions import (
     TAU_A2_ZERO,
+    TAU_JET,
     TAU_UNIMODULAR,
     ExtendedMap,
     RadialProfile,
@@ -35,7 +36,14 @@ from .extensions import (
 )
 from .grids import GridSpec, field_points
 from .loewner import T_MAX, ChainGrid, build_chain, check_theorem_A
-from .mapexpr import MapExpr, parse_map, rational_form, shifted_difference, taylor_jet
+from .mapexpr import (
+    MapExpr,
+    const_text,
+    parse_map,
+    rational_form,
+    shifted_difference,
+    taylor_jet,
+)
 from .sphere import INFINITY
 from .version import VERSION
 
@@ -228,7 +236,13 @@ def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> Ext
     profile = RadialProfile(M)
     if theorem == "psi":
         if "p" in params:
-            return ext_radial_psi("vp_pole", params["p"].real, profile)
+            # the vp_pole branch builds p z/(p - z) = z/(1 - z/p) from p alone
+            p = params["p"]
+            a2 = _mobius_a2(f)
+            if a2 is None or abs(a2 * p - 1.0) > TAU_JET:
+                pt = const_text(p)
+                raise PreconditionError(f"psi with p = {pt} extends only {pt}*z/({pt}-z)")
+            return ext_radial_psi("vp_pole", p.real, profile)
         return ext_radial_psi("unimodular_a2", _require_mobius_a2(f), profile)
     # t1 splits on whether the small functional vanishes identically
     a2 = _mobius_a2(f)
@@ -271,10 +285,11 @@ def _resolve_map(
     builtin is returned as None."""
     ex, merged, text = _resolve_source(map_text, builtin, params)
     if ex is not None and theorem in (None, ex.theorem):
-        return ex, merged, text, ex.theorem, ex.class_name, ex.class_params(params)
-    theorem = theorem or "t1"
-    cls_params = class_params_for(theorem, merged)
-    return None, merged, text, theorem, THEOREM_CLASS.get(theorem), cls_params
+        theorem, cls_params = ex.theorem, ex.class_params(params)
+    else:
+        ex, theorem = None, theorem or "t1"
+        cls_params = class_params_for(theorem, merged)
+    return ex, merged, text, theorem, theorem_class(theorem, merged), cls_params
 
 
 def run_verify(

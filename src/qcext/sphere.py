@@ -1,21 +1,17 @@
-"""Values on the Riemann sphere: a distinguished point at infinity,
-tolerance-aware division, and the chordal metric.
+"""Values on the Riemann sphere: a distinguished point at infinity and the
+chordal metric.
 
 Finite values are ordinary ``complex`` numbers; the point at infinity is the
 singleton ``INFINITY``.  It deliberately carries no real/imaginary parts, so
-code that needs coordinates must go through a chart first.
+code that needs coordinates must go through a chart first.  Division onto
+the sphere, with its pole and 0/0 rules, is mapexpr.eval_map's.
 """
 
 from __future__ import annotations
 
-import cmath
 from typing import Union
 
 import numpy as np
-
-# A quotient is declared a pole once the denominator is this small relative
-# to the numerator.
-TAU_POLE = 1e-12
 
 
 class _Infinity:
@@ -37,34 +33,8 @@ INFINITY = _Infinity()
 ExtComplex = Union[complex, _Infinity]
 
 
-class SphereArithmeticError(ArithmeticError):
-    """An indeterminate sphere quotient: 0/0 or a nan value."""
-
-
 def is_infinity(v: object) -> bool:
     return v is INFINITY
-
-
-def safe_div(num: complex, den: complex) -> ExtComplex:
-    """Divide two complex numbers (never INFINITY) onto the sphere.
-
-    A quotient whose denominator magnitude falls below ``TAU_POLE * |num|``
-    is reported as INFINITY, and so is a quotient that overflows; the exact
-    0/0 case and a nan quotient raise :class:`SphereArithmeticError`.
-    """
-    num = complex(num)
-    den = complex(den)
-    an, ad = abs(num), abs(den)
-    if an == 0.0 and ad == 0.0:
-        raise SphereArithmeticError("0 / 0")
-    if ad <= TAU_POLE * an:
-        return INFINITY
-    v = num / den
-    if cmath.isfinite(v):
-        return v
-    if cmath.isnan(v.real) and cmath.isnan(v.imag):
-        raise SphereArithmeticError("indeterminate value (nan)")
-    return INFINITY
 
 
 def chordal_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -179,6 +179,36 @@ def test_verify_near_mobius_map_under_a_mobius_theorem_exits_two(theorem, capsys
     assert "vanishes identically" in captured.err
 
 
+def test_indeterminate_map_at_zero_is_a_numerical_failure(capsys):
+    # ext_thm5 reads z/z at 0, where its normal form is 0/0
+    code = main(["verify", "--map", "z/z", "--theorem", "t5", "--grid", "8x8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "qcext: numerical failure: 0 / 0\n"
+
+
+def test_psi_with_p_refuses_a_map_other_than_p_z_over_p_minus_z(capsys):
+    # the vp_pole branch builds its map from p alone, so any other f would
+    # be certified through a different map
+    argv = ["verify", "--map", "z+0.1*z^2", "--theorem", "psi", "--param", "p=0.5"]
+    code = main(argv + ["--grid", "16x16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "qcext: psi with p = 0.5 extends only 0.5*z/(0.5-z)\n"
+
+
+@pytest.mark.parametrize("text", ["0.5*z/(0.5-z)", "z/(1-2*z)"])
+def test_psi_with_p_sweeps_v_p_lambda(text, capsys):
+    argv = ["verify", "--map", text, "--theorem", "psi", "--param", "p=0.5"]
+    code = main(argv + ["--grid", "24x24", "--no-timestamp"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [v["class_name"] for v in doc["class_verdicts"]] == ["V_p_lambda"]
+    assert doc["extension"]["inner"] == "((0.5*z)/(0.5-z))"
+
+
 def test_overflowing_map_exits_one_without_numpy_warnings(capsys):
     # P(z) and Q(z) overflow at the |z| = 1e8 chart probe; eval_map reads
     # the map in the chart w = 1/z there, so the run ends in a verdict

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcext.classifiers import check_class
-from qcext.corpus import BUILTINS, builtin_ids, get_builtin
+from qcext.corpus import BUILTINS, builtin_ids, get_builtin, theorem_class
 from qcext.extensions import ext_huang_owa
 from qcext.mapexpr import eval_array, parse_map, taylor_jet
 
@@ -67,11 +67,19 @@ def test_all_builtins_parse_at_defaults():
         parse_map(ex.text())
 
 
+def test_psi_with_a_pole_assumes_v_p_lambda():
+    assert theorem_class("psi", {"p": 0.5 + 0j}) == "V_p_lambda"
+    assert theorem_class("psi", {"M": 2.0 + 0j}) == "U_lambda"
+    assert theorem_class("t3", {"p": 0.5 + 0j}) == "V_p_lambda"
+    assert theorem_class("t1", {"p": 0.5 + 0j}) == "U_lambda"
+
+
 def test_positive_builtins_pass_their_class_checks():
     for ex in BUILTINS.values():
-        if ex.class_name is None or ex.negative:
+        which = theorem_class(ex.theorem, ex.params())
+        if which is None or ex.negative:
             continue
-        verdict = check_class(parse_map(ex.text()), ex.class_name, ex.class_params())
+        verdict = check_class(parse_map(ex.text()), which, ex.class_params())
         assert verdict.holds, (ex.id, verdict.worst_value, verdict.bound)
 
 

@@ -421,6 +421,18 @@ def _conjugate(node):
     return dataclasses.replace(node, **kids)
 
 
+def _rotated_claimed_k(ex, g, j):
+    """claimed_k of g's extension under ex's theorem and parameters, or None
+    where g is a rotation (j != 0) that the psi route with p refuses: that
+    route extends only p z/(p - z), and every rotation here moves the pole
+    p off the real axis."""
+    if j and ex.theorem == "psi" and "p" in ex.params():
+        with pytest.raises(PreconditionError, match="extends only"):
+            build_extension(ex.theorem, g, ex.params())
+        return None
+    return build_extension(ex.theorem, g, ex.params()).claimed_k
+
+
 @pytest.mark.parametrize("bid", builtin_ids())
 def test_rotation_keeps_claimed_k(bid):
     # f_theta maps the seam samples onto themselves for theta = 2 pi j / 4096,
@@ -431,8 +443,8 @@ def test_rotation_keeps_claimed_k(bid):
         warnings.simplefilter("ignore")
         k = build_extension(ex.theorem, f, ex.params()).claimed_k
         for j, f_theta in _rotations(f):
-            k_theta = build_extension(ex.theorem, f_theta, ex.params()).claimed_k
-            assert abs(k_theta - k) <= 1e-12 * max(1.0, k), (j, k, k_theta)
+            k_theta = _rotated_claimed_k(ex, f_theta, j)
+            assert k_theta is None or abs(k_theta - k) <= 1e-12 * max(1.0, k), (j, k)
 
 
 @pytest.mark.parametrize("bid", builtin_ids())
@@ -449,5 +461,5 @@ def test_conjugate_keeps_claimed_k(bid):
             Z = np.array([0.2 + 0.6j, -0.4j, 0.7 - 0.1j])
             want = np.conj(eval_array(g, np.conj(Z)))
             assert np.allclose(eval_array(g_bar, Z), want, rtol=1e-12, atol=0.0), j
-            k_bar = build_extension(ex.theorem, g_bar, ex.params()).claimed_k
-            assert abs(k_bar - k) <= 1e-12 * max(1.0, k), (j, k, k_bar)
+            k_bar = _rotated_claimed_k(ex, g_bar, j)
+            assert k_bar is None or abs(k_bar - k) <= 1e-12 * max(1.0, k), (j, k)

@@ -7,12 +7,14 @@ its file, so this test needs nothing from perfbench on the import path.
 Every module but __init__.py uses each name it imports, every top-level
 private name is used somewhere in the package outside its own definition,
 and so is every public one that qcext does not export in __all__ and every
-public method of a top-level class.
+public method of a top-level class.  Every tolerance and step constant has
+a comment right above it that says what it decides.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -130,3 +132,23 @@ def test_every_public_name_is_used_or_exported():
         methods=True,
     )
     assert not unused, unused
+
+
+# module-level tolerances and steps, by name
+TOLERANCE = re.compile(r"(TAU_\w+|H_\w+|DEGENERATE_TOL|POLE_EXCLUSION)$")
+
+
+def test_every_tolerance_has_a_comment_above_it():
+    src = Path(__file__).resolve().parents[1] / "src" / "qcext"
+    bare = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.Assign):
+                continue
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            above = lines[node.lineno - 2].lstrip() if node.lineno > 1 else ""
+            if any(TOLERANCE.match(n) for n in names) and not above.startswith("#"):
+                bare.append(f"{path.name}:{node.lineno} {', '.join(names)}")
+    assert not bare, bare

@@ -177,14 +177,14 @@ def test_eval_plain_rational():
 
 def test_eval_indeterminate_raises():
     m = MapExpr(Div(Var(), Var()))
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match="0 / 0"):
         eval_map(m, 0j)
 
 
 def test_eval_cancelled_pole_is_indeterminate():
     # P = 0 and Q = (z - 0.5)^2 in the normal form: 0/0 at z = 0.5
     m = parse_map("1/(z-0.5)-1/(z-0.5)")
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match="0 / 0"):
         eval_map(m, 0.5 + 0j)
     assert eval_map(m, 0.2 + 0j) == 0j
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcext.corpus import BUILTINS, THEOREM_CLASS, class_params_for
+from qcext.corpus import BUILTINS, class_params_for
 from qcext.errors import PreconditionError
 from qcext.report import (
     build_extension,
@@ -115,8 +115,9 @@ def test_verify_defaults_pass(builtin):
     assert code == 0, report.to_text()
 
 
-# builtins whose class criterion departs from the one their theorem assumes
-CLASS_OVERRIDES = {"p_mobius", "koebe", "exterior_pole", "neg_deriv"}
+# builtins whose criterion parameters depart from the ones their theorem
+# reads off the map's parameters
+CLASS_OVERRIDES = {"koebe", "exterior_pole", "neg_deriv"}
 
 
 @pytest.mark.parametrize("builtin", sorted(set(BUILTINS) - CLASS_OVERRIDES))
@@ -145,11 +146,11 @@ def test_builtin_under_another_theorem_runs_as_its_map_text(builtin, theorem, te
 
 
 def test_only_the_declared_builtins_depart_from_their_theorem():
+    # the criterion itself is always the theorem's (corpus.theorem_class)
     departs = {
         bid
         for bid, ex in BUILTINS.items()
-        if (ex.class_name, ex.class_params())
-        != (THEOREM_CLASS[ex.theorem], class_params_for(ex.theorem, ex.params()))
+        if ex.class_params() != class_params_for(ex.theorem, ex.params())
     }
     assert departs == CLASS_OVERRIDES
 
