@@ -7,11 +7,13 @@ point evaluations realize that identity.  The non-analytic branch is kept as
 an evaluator, never as an expression tree: the grammar is holomorphic-only on
 purpose.
 
-Builders check their hypotheses (normalization jets, parameter ranges)
-and record the dilatation bound the construction is supposed to achieve as
-claimed_k; for the class theorems that is classifiers.seam_bound of the
-theorem's criterion.  An ExtendedMap checks every declared special point
-with evaluate_array, its only evaluator, when it is constructed.
+Every builder takes the map it extends and keeps it as the analytic branch.
+Builders check their hypotheses (normalization jets, parameter ranges, the
+Mobius form) and record the dilatation bound the construction is supposed
+to achieve as claimed_k; for the class theorems that is
+classifiers.seam_bound of the theorem's criterion.  An ExtendedMap checks
+every declared special point with evaluate_array, its only evaluator, when
+it is constructed.  build_extension routes a theorem flag to its builder.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .classifiers import ClassParams, exterior_lead, phi_from_map, seam_bound
+from .corpus import THEOREMS
 from .errors import PreconditionError
 from .grids import blocks, seam_circle, seam_sup
 from .loewner import (
@@ -63,12 +66,13 @@ TAU_SEAM = 1e-9
 # the assembled map's value there
 TAU_SPECIAL_POINT = 1e-6
 # _require_normalized_jet and ext_thm2: |f(0)|, |f'(0) - 1| and |a2|;
-# report.build_extension: |a2 p - 1| for the psi route's p z/(p - z)
+# ext_radial_psi: |a2 p - 1| for p z/(p - z)
 TAU_JET = 1e-9
 # ext_huang_owa: |a2| at most this sends infinity to infinity; below it,
-# report.build_extension routes t1 to ext_huang_owa
+# build_extension routes t1 to ext_huang_owa
 TAU_A2_ZERO = 1e-12
-# ext_radial_psi: ||a2| - 1| allowed for unimodular_a2
+# ext_radial_psi: ||a2| - 1| allowed for a pole on the seam; build_extension
+# routes t1 to ext_radial_psi within it
 TAU_UNIMODULAR = 1e-9
 
 SpecialPoint = Tuple[ExtComplex, ExtComplex]
@@ -83,9 +87,18 @@ class RadialProfile:
     def __post_init__(self):
         if not (isinstance(self.M, (int, float)) and 1.0 < self.M < math.inf):
             raise ValueError("profile constant M must be finite and exceed 1")
-        # the claimed bound (M^2 - 1)/(M^2 + 1) needs a finite M^2
-        if not self.M * self.M < math.inf:
-            raise ValueError(f"profile constant M = {self.M!r} is too large: M^2 overflows")
+        # the claimed bound (M^2 - 1)/(M^2 + 1) must stay below 1; an
+        # overflowed M^2 makes it nan, which fails the test too
+        if not self.k < 1.0:
+            raise ValueError(
+                f"profile constant M = {self.M!r} is too large: "
+                "the bound (M^2 - 1)/(M^2 + 1) rounds to 1"
+            )
+
+    @property
+    def k(self) -> float:
+        """The dilatation bound (M^2 - 1)/(M^2 + 1) of the profile."""
+        return (self.M * self.M - 1.0) / (self.M * self.M + 1.0)
 
     def psi(self, r):
         return self.M * r - (self.M - 1.0)
@@ -258,19 +271,42 @@ def ext_thm2(f: MapExpr) -> ExtendedMap:
     return _reflected(f, "map_reflection", (), outer, seam_bound(f, "M_Ug"))
 
 
-def ext_mobius_convex(a2: complex) -> ExtendedMap:
-    """Extend z/(1 - a2 z) by z(|z|^2 - a2 z)/(|z| - a2 z)^2; |mu| = |a2|."""
-    a2 = complex(a2)
+def _mobius_a2(f: MapExpr) -> Optional[complex]:
+    """a2 of f when f is z/(1 - a2 z), so that the small functional U_f
+    vanishes identically (a disc automorphism denominator), else None.
+
+    Decided on the rational normal form P/Q: z Q - (1 - a2 z) P must vanish
+    to TAU_COEFF_DUST of its coefficient scale."""
+    a2 = complex(taylor_jet(f, 6)[2])
+    P, Q = rational_form(f)
+    if np.any(shifted_difference(Q, np.convolve(P, [1.0, -a2]))):
+        return None
+    return a2
+
+
+def _require_mobius_a2(f: MapExpr) -> complex:
+    a2 = _mobius_a2(f)
+    if a2 is None:
+        raise PreconditionError(
+            "this case applies only when the small functional vanishes "
+            "identically (a disc automorphism denominator)"
+        )
+    return a2
+
+
+def ext_mobius_convex(f: MapExpr) -> ExtendedMap:
+    """Extend f = z/(1 - a2 z), 0 < |a2| < 1, by z(|z|^2 - a2 z)/(|z| - a2 z)^2;
+    |mu| = |a2|."""
+    a2 = _require_mobius_a2(f)
     if not 0.0 < abs(a2) < 1.0:
         raise PreconditionError("need 0 < |a2| < 1 (a2 = 0 extends trivially)")
-    inner = parse_map(f"z/(1-{const_text(a2)}*z)")
 
     def outer(Z):
         R = np.abs(Z)
         return Z * (R**2 - a2 * Z) / (R - a2 * Z) ** 2
 
     return ExtendedMap(
-        inner=inner,
+        inner=f,
         inner_region="disc",
         outer_id="mobius_polar",
         outer_params=(("a2", repr(a2)),),
@@ -280,23 +316,20 @@ def ext_mobius_convex(a2: complex) -> ExtendedMap:
     )
 
 
-def ext_radial_psi(
-    pole_style: str, pole_param: complex, profile: RadialProfile
-) -> ExtendedMap:
-    """Radial-profile extension of the Mobius maps with a boundary or inner pole.
+def ext_radial_psi(f: MapExpr, profile: RadialProfile, p: Optional[complex] = None) -> ExtendedMap:
+    """Radial-profile extension of a Mobius map with a boundary or inner pole.
 
-    unimodular_a2: inner z/(1 - a2 z), |a2| = 1, pole on the seam; outer
+    Without p, f = z/(1 - a2 z) with |a2| = 1 has its pole on the seam; outer
     psi(r) e^{i theta} / (1 - a2 psi(r) e^{i theta}).
-    vp_pole: inner p z/(p - z) with pole p in (0,1); outer
+    With p, f = p z/(p - z) has its pole p in (0,1); outer
     p psi(r) e^{i theta} / (p - psi(r) e^{i theta}).
     Claimed bound (M^2-1)/(M^2+1) from the profile constant.
     """
     M = profile.M
-    if pole_style == "unimodular_a2":
-        a2 = complex(pole_param)
+    if p is None:
+        a2 = _require_mobius_a2(f)
         if abs(abs(a2) - 1.0) > TAU_UNIMODULAR:
             raise PreconditionError("unimodular_a2 needs |a2| = 1")
-        inner = parse_map(f"z/(1-{const_text(a2)}*z)")
 
         def outer(Z):
             R = np.abs(Z)
@@ -306,12 +339,14 @@ def ext_radial_psi(
 
         pts = ((1.0 / a2, INFINITY), (INFINITY, -1.0 / a2))
         params = (("a2", repr(a2)), ("M", repr(float(M))))
-    elif pole_style == "vp_pole":
-        p = complex(pole_param)
+    else:
+        a2 = _mobius_a2(f)
+        if a2 is None or abs(a2 * p - 1.0) > TAU_JET:
+            pt = const_text(p)
+            raise PreconditionError(f"psi with p = {pt} extends only {pt}*z/({pt}-z)")
         if abs(p.imag) > 0 or not 0.0 < p.real < 1.0:
             raise PreconditionError("vp_pole needs real p in (0,1)")
         p = p.real
-        inner = parse_map(f"{p!r}*z/({p!r}-z)")
 
         def outer(Z):
             R = np.abs(Z)
@@ -321,16 +356,14 @@ def ext_radial_psi(
 
         pts = ((complex(p), INFINITY), (INFINITY, complex(-p)))
         params = (("p", repr(float(p))), ("M", repr(float(M))))
-    else:
-        raise ValueError(f"unknown pole_style {pole_style!r}")
     return ExtendedMap(
-        inner=inner,
+        inner=f,
         inner_region="disc",
         outer_id="radial_profile",
         outer_params=params,
         outer=outer,
         special_points=pts,
-        claimed_k=(M * M - 1.0) / (M * M + 1.0),
+        claimed_k=profile.k,
     )
 
 
@@ -503,3 +536,39 @@ def becker_extend(chain: LoewnerChainSpec) -> ExtendedMap:
         special_points=((INFINITY, INFINITY),),
         claimed_k=chain.claimed_k,
     )
+
+
+# ---------------------------------------------------------------------------
+# theorem routing
+
+
+def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> ExtendedMap:
+    """Route a map to the extension construction the theorem flag names."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    if theorem == "t2":
+        return ext_thm2(f)
+    if theorem == "t3":
+        return ext_huang_owa(f)
+    if theorem == "t4":
+        return ext_exterior(f, "thm4")
+    if theorem == "cor1":
+        return ext_exterior(f, "cor1")
+    if theorem == "krzyz":
+        return ext_exterior(f, "krzyz")
+    if theorem == "brown":
+        return ext_brown(f, params.get("lam", 1.0 + 0j))
+    if theorem == "t5":
+        return ext_thm5(f)
+    if theorem == "convex":
+        return ext_mobius_convex(f)
+    profile = RadialProfile(abs(params.get("M", 2.0 + 0j)))
+    if theorem == "psi":
+        return ext_radial_psi(f, profile, params.get("p"))
+    # t1 splits on whether the small functional vanishes identically
+    a2 = _mobius_a2(f)
+    if a2 is None or abs(a2) < TAU_A2_ZERO:
+        return ext_huang_owa(f)
+    if abs(abs(a2) - 1.0) <= TAU_UNIMODULAR:
+        return ext_radial_psi(f, profile)
+    return ext_mobius_convex(f)

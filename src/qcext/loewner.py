@@ -79,6 +79,16 @@ CHAIN_KINDS = (
     "krzyz_eq9",
     "convex_chain",
 )
+# aliases build_chain accepts for the CHAIN_KINDS names
+CHAIN_KINDS_SHORT = {
+    "thm2": "thm2_eq3",
+    "eq7a1": "exterior_eq7a1",
+    "t4": "exterior_eq7a1",
+    "cor1": "cor1_chain",
+    "t5": "thm5_chain",
+    "krzyz": "krzyz_eq9",
+    "convex": "convex_chain",
+}
 
 
 class ChainSingularityError(ArithmeticError):
@@ -198,7 +208,9 @@ class ChainCheckReport:
 def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
     """Validate the base map for the requested kind and derive c_lead and
     the claimed criterion sup (classifiers.seam_bound of the kind's
-    criterion)."""
+    criterion).  kind is a CHAIN_KINDS name or one of its CHAIN_KINDS_SHORT
+    aliases; the spec carries the full name."""
+    kind = CHAIN_KINDS_SHORT.get(kind, kind)
     if kind not in CHAIN_KINDS:
         raise ValueError(f"unknown chain kind {kind!r}")
 

@@ -14,36 +14,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .beltrami import certify_qc
 from .classifiers import ClassVerdict, check_class
-from .corpus import THEOREMS, class_params_for, get_builtin, theorem_class
-from .errors import PreconditionError
-from .extensions import (
-    TAU_A2_ZERO,
-    TAU_JET,
-    TAU_UNIMODULAR,
-    ExtendedMap,
-    RadialProfile,
-    ext_brown,
-    ext_exterior,
-    ext_huang_owa,
-    ext_mobius_convex,
-    ext_radial_psi,
-    ext_thm2,
-    ext_thm5,
-)
+from .corpus import class_params_for, get_builtin, theorem_class
+from .extensions import ExtendedMap, build_extension
 from .grids import GridSpec, field_points
 from .loewner import T_MAX, ChainGrid, build_chain, check_theorem_A
-from .mapexpr import (
-    MapExpr,
-    const_text,
-    parse_map,
-    rational_form,
-    shifted_difference,
-    taylor_jet,
-)
+from .mapexpr import parse_map
 from .sphere import INFINITY
 from .version import VERSION
 
@@ -51,16 +28,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
-
-CHAIN_KINDS_SHORT = {
-    "thm2": "thm2_eq3",
-    "eq7a1": "exterior_eq7a1",
-    "t4": "exterior_eq7a1",
-    "cor1": "cor1_chain",
-    "t5": "thm5_chain",
-    "krzyz": "krzyz_eq9",
-    "convex": "convex_chain",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -186,74 +153,6 @@ def _wall(t0: float, no_timestamp: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# extension dispatch
-
-
-def _mobius_a2(f: MapExpr) -> Optional[complex]:
-    """a2 of f when f is z/(1 - a2 z), so that the small functional U_f
-    vanishes identically (a disc automorphism denominator), else None.
-
-    Decided on the rational normal form P/Q: z Q - (1 - a2 z) P must vanish
-    to TAU_COEFF_DUST of its coefficient scale."""
-    a2 = complex(taylor_jet(f, 6)[2])
-    P, Q = rational_form(f)
-    if np.any(shifted_difference(Q, np.convolve(P, [1.0, -a2]))):
-        return None
-    return a2
-
-
-def _require_mobius_a2(f: MapExpr) -> complex:
-    a2 = _mobius_a2(f)
-    if a2 is None:
-        raise PreconditionError(
-            "this case applies only when the small functional vanishes "
-            "identically (a disc automorphism denominator)"
-        )
-    return a2
-
-
-def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> ExtendedMap:
-    """Route a map to the extension construction the theorem flag names."""
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    if theorem == "t2":
-        return ext_thm2(f)
-    if theorem == "t3":
-        return ext_huang_owa(f)
-    if theorem == "t4":
-        return ext_exterior(f, "thm4")
-    if theorem == "cor1":
-        return ext_exterior(f, "cor1")
-    if theorem == "krzyz":
-        return ext_exterior(f, "krzyz")
-    if theorem == "brown":
-        return ext_brown(f, params.get("lam", 1.0 + 0j))
-    if theorem == "t5":
-        return ext_thm5(f)
-    if theorem == "convex":
-        return ext_mobius_convex(_require_mobius_a2(f))
-    M = abs(params.get("M", 2.0 + 0j))
-    profile = RadialProfile(M)
-    if theorem == "psi":
-        if "p" in params:
-            # the vp_pole branch builds p z/(p - z) = z/(1 - z/p) from p alone
-            p = params["p"]
-            a2 = _mobius_a2(f)
-            if a2 is None or abs(a2 * p - 1.0) > TAU_JET:
-                pt = const_text(p)
-                raise PreconditionError(f"psi with p = {pt} extends only {pt}*z/({pt}-z)")
-            return ext_radial_psi("vp_pole", p.real, profile)
-        return ext_radial_psi("unimodular_a2", _require_mobius_a2(f), profile)
-    # t1 splits on whether the small functional vanishes identically
-    a2 = _mobius_a2(f)
-    if a2 is None or abs(a2) < TAU_A2_ZERO:
-        return ext_huang_owa(f)
-    if abs(abs(a2) - 1.0) <= TAU_UNIMODULAR:
-        return ext_radial_psi("unimodular_a2", a2, profile)
-    return ext_mobius_convex(a2)
-
-
-# ---------------------------------------------------------------------------
 # pipelines
 
 
@@ -356,15 +255,14 @@ def run_chain(
         text = ex.chain_text(params)
     if chain is None:
         raise ValueError("a chain kind is required")
-    kind = CHAIN_KINDS_SHORT.get(chain, chain)
     base = parse_map(text)
     gs = GridSpec.parse(grid) if grid else ChainGrid.z
 
     cg = ChainGrid(z=gs, t_max=T_MAX if tmax is None else float(tmax))
-    spec = build_chain(kind, base)
+    spec = build_chain(chain, base)
     chk = check_theorem_A(spec, cg)
     lo = dataclasses.asdict(chk)
-    lo["kind"] = kind
+    lo["kind"] = spec.kind
     lo["base_map"] = text
     window = spec.a1_zero_window(cg.t_max)
     if window is not None:

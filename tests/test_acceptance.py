@@ -39,7 +39,7 @@ from qcext.grids import (
     seam_circle,
 )
 from qcext.loewner import build_chain, check_dk, check_theorem_A
-from qcext.mapexpr import ParseError, eval_array, parse_map, print_expr
+from qcext.mapexpr import ParseError, const_text, eval_array, parse_map, print_expr
 from qcext.render import ppm_bytes, render_map
 from qcext.report import run_verify
 
@@ -105,10 +105,11 @@ def _bound_cases():
         yield f"example2 lam={lam}", ext_thm2(f), lam, EXTERIOR
     yield "example3 p=0.5 lam=0.5", ext_huang_owa(EX3), 0.5, EXTERIOR
     for a2 in (0.3 + 0j, 0.5 + 0.2j):
-        yield f"mobius a2={a2}", ext_mobius_convex(a2), abs(a2), EXTERIOR
+        em = ext_mobius_convex(parse_map(f"z/(1-{const_text(a2)}*z)"))
+        yield f"mobius a2={a2}", em, abs(a2), EXTERIOR
     yield (
         "radial M=2",
-        ext_radial_psi("vp_pole", 0.5, RadialProfile(2.0)),
+        ext_radial_psi(parse_map("0.5*z/(0.5-z)"), RadialProfile(2.0), 0.5),
         0.6,
         EXTERIOR,
     )
@@ -143,7 +144,7 @@ def test_criterion_2_becker_cross_check():
             (
                 "convex",
                 becker_extend(build_chain("convex_chain", MOBIUS)),
-                ext_mobius_convex(0.5),
+                ext_mobius_convex(MOBIUS),
             ),
             ("thm5", becker_extend(build_chain("thm5_chain", NEG_DERIV)), ext_thm5(NEG_DERIV)),
         ]

@@ -123,7 +123,7 @@ def test_grid_points_avoid_seam():
 def test_grid_exclusions_punch_holes():
     # the interior pole 0.5 is a special point; at 64x64 no grid point comes
     # within POLE_EXCLUSION of it, so a finer grid is needed to test the hole
-    em = ext_radial_psi("vp_pole", 0.5, RadialProfile(2.0))
+    em = ext_radial_psi(parse_map("0.5*z/(0.5-z)"), RadialProfile(2.0), 0.5)
     points = _disc(96, 96)
     outside = np.abs(points - 0.5) >= POLE_EXCLUSION
     assert not np.all(outside)
@@ -161,7 +161,7 @@ def test_krzyz_field_constant_half():
 
 
 def test_radial_field_matches_profile_law():
-    em = ext_radial_psi("unimodular_a2", 1.0 + 0j, RadialProfile(2.0))
+    em = ext_radial_psi(parse_map("z/(1-z)"), RadialProfile(2.0))
     points = _exterior(20, 24, 1.01, 2.5)
     kept, mu, _ = _pointwise(em, points)
     r = np.abs(kept)
@@ -206,7 +206,7 @@ def _whole_side_field(em, points):
 @pytest.mark.parametrize(
     "em",
     [
-        ext_mobius_convex(0.5),
+        ext_mobius_convex(parse_map("z/(1-0.5*z)")),
         ext_huang_owa(parse_map(get_builtin("example3").text())),
         ext_thm2(parse_map(get_builtin("example2").text())),
     ],
@@ -245,9 +245,9 @@ def test_chart_field_when_infinity_moves():
     "em",
     [
         ext_thm2(EX2),
-        ext_mobius_convex(0.5),
+        ext_mobius_convex(parse_map("z/(1-0.5*z)")),
         ext_exterior(G_KRZYZ, "krzyz"),
-        ext_radial_psi("unimodular_a2", 1.0 + 0j, RadialProfile(2.0)),
+        ext_radial_psi(parse_map("z/(1-z)"), RadialProfile(2.0)),
     ],
     ids=["thm2", "mobius", "krzyz", "radial"],
 )
@@ -289,7 +289,8 @@ def test_certify_flags_injected_seam_fault():
 
 def test_verdict_summary_shape():
     # run_verify stores the verdict's fields as the report's beltrami section
-    s = asdict(certify_qc(ext_mobius_convex(0.5), field_points(GridSpec(16, 16))))
+    em = ext_mobius_convex(parse_map("z/(1-0.5*z)"))
+    s = asdict(certify_qc(em, field_points(GridSpec(16, 16))))
     assert s["passed"] is True
     for key in ("sup_mu", "claimed_k", "jacobian_min", "seam_sup_chordal", "n_points"):
         assert key in s

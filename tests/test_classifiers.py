@@ -16,7 +16,7 @@ from qcext.classifiers import (
 )
 from qcext.errors import PreconditionError
 from qcext.extensions import _recover_w, ext_brown, ext_exterior, ext_thm2, ext_thm5
-from qcext.grids import GridSpec
+from qcext.grids import N_SEAM, GridSpec, seam_sup
 from qcext.loewner import build_chain
 from qcext.mapexpr import (
     Div,
@@ -349,3 +349,14 @@ def test_unimodular_lead_warns_once_at_the_caller():
         ext_exterior(G_INV, "thm4")
     with pytest.raises(PreconditionError):
         build_chain("exterior_eq7a1", G_INV)
+
+
+def test_seam_sup_skips_a_few_non_finite_samples_and_no_more():
+    # up to max(2, 4096 // 500) = 8 non-finite samples are pole artifacts
+    vals = np.ones(N_SEAM)
+    vals[0] = np.nan
+    assert seam_sup(vals) == 1.0
+    vals[:8] = np.nan
+    assert seam_sup(vals) == 1.0
+    vals[:9] = np.nan
+    assert seam_sup(vals) == np.inf

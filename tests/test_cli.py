@@ -160,12 +160,30 @@ def test_verify_refuses_a_profile_constant_that_is_not_finite_above_one(M, capsy
 
 
 def test_verify_refuses_a_profile_constant_whose_square_overflows(capsys):
+    # M^2 = inf makes the bound (M^2 - 1)/(M^2 + 1) nan
     argv = ["verify", "--builtin", "p_mobius", "--param", "M=1e200", "--no-timestamp"]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "qcext: profile constant M = 1e+200 is too large: M^2 overflows\n"
+    assert captured.err == (
+        "qcext: profile constant M = 1e+200 is too large: "
+        "the bound (M^2 - 1)/(M^2 + 1) rounds to 1\n"
+    )
+
+
+def test_verify_refuses_a_profile_constant_whose_bound_rounds_to_one(capsys):
+    # M^2 is finite, but (M^2 - 1)/(M^2 + 1) is 1.0 in floating point, and
+    # the outer branch then has no usable derivative on much of the plane
+    argv = ["verify", "--builtin", "p_mobius", "--param", "M=1e10", "--no-timestamp"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "qcext: profile constant M = 10000000000.0 is too large: "
+        "the bound (M^2 - 1)/(M^2 + 1) rounds to 1\n"
+    )
 
 
 @pytest.mark.parametrize("theorem", ["convex", "psi"])
@@ -188,9 +206,17 @@ def test_indeterminate_map_at_zero_is_a_numerical_failure(capsys):
     assert captured.err == "qcext: numerical failure: 0 / 0\n"
 
 
+def test_chain_singular_inside_the_disc_exits_three(capsys):
+    # the pole 1/20 of z/(1-20*z) lies inside the thm5 chain's disc at t = 0
+    code = main(["chain", "--map", "z/(1-20*z)", "--chain", "t5", "--grid", "8x8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "qcext: singularity: chain singular at z=(0.05+0j), t=0.0\n"
+
+
 def test_psi_with_p_refuses_a_map_other_than_p_z_over_p_minus_z(capsys):
-    # the vp_pole branch builds its map from p alone, so any other f would
-    # be certified through a different map
+    # with p, psi extends only the Mobius map p z/(p - z)
     argv = ["verify", "--map", "z+0.1*z^2", "--theorem", "psi", "--param", "p=0.5"]
     code = main(argv + ["--grid", "16x16"])
     captured = capsys.readouterr()
@@ -199,14 +225,30 @@ def test_psi_with_p_refuses_a_map_other_than_p_z_over_p_minus_z(capsys):
     assert captured.err == "qcext: psi with p = 0.5 extends only 0.5*z/(0.5-z)\n"
 
 
-@pytest.mark.parametrize("text", ["0.5*z/(0.5-z)", "z/(1-2*z)"])
-def test_psi_with_p_sweeps_v_p_lambda(text, capsys):
+def test_psi_with_p_refuses_a_pole_off_the_real_axis(capsys):
+    # p z/(p - z) with p = 0.5+0.1i passes the Mobius test; the radial
+    # construction needs a real p
+    argv = ["verify", "--map", "z/(1-z/(0.5+0.1*i))", "--theorem", "psi"]
+    code = main(argv + ["--param", "p=0.5+0.1j", "--grid", "16x16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "qcext: vp_pole needs real p in (0,1)\n"
+
+
+@pytest.mark.parametrize(
+    "text, inner",
+    [("0.5*z/(0.5-z)", "((0.5*z)/(0.5-z))"), ("z/(1-2*z)", "(z/(1-(2*z)))")],
+    ids=["0.5*z/(0.5-z)", "z/(1-2*z)"],
+)
+def test_psi_with_p_sweeps_v_p_lambda(text, inner, capsys):
+    # the extension's analytic branch is the map as given
     argv = ["verify", "--map", text, "--theorem", "psi", "--param", "p=0.5"]
     code = main(argv + ["--grid", "24x24", "--no-timestamp"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert [v["class_name"] for v in doc["class_verdicts"]] == ["V_p_lambda"]
-    assert doc["extension"]["inner"] == "((0.5*z)/(0.5-z))"
+    assert doc["extension"]["inner"] == inner
 
 
 def test_overflowing_map_exits_one_without_numpy_warnings(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcext.beltrami import _wirtinger_block
-from qcext.corpus import builtin_ids, get_builtin
+from qcext.corpus import BUILTINS, builtin_ids, get_builtin
 from qcext.errors import PreconditionError
 from qcext.extensions import (
     ExtendedMap,
@@ -23,20 +23,21 @@ from qcext.extensions import (
     seam_gap,
 )
 from qcext.grids import seam_circle
-from qcext.loewner import LoewnerChainSpec, build_chain, herglotz_array
+from qcext.loewner import CHAIN_KINDS_SHORT, LoewnerChainSpec, build_chain, herglotz_array
 from qcext.mapexpr import (
     Const,
     MapExpr,
     Mul,
     Var,
     compose,
+    const_text,
     eval_array,
     eval_map,
     parse_map,
     print_expr,
 )
 from qcext.render import _pixel_window
-from qcext.report import CHAIN_KINDS_SHORT, build_extension, dump_json
+from qcext.report import build_extension, dump_json
 from qcext.sphere import INFINITY, is_infinity
 
 EX1 = parse_map("z/((1-z)*(1-0.5*z))")
@@ -121,7 +122,7 @@ def test_thm2_identity():
 
 
 def test_mobius_convex_example():
-    em = ext_mobius_convex(0.5)
+    em = ext_mobius_convex(MOBIUS)
     assert abs(at(em, 2.0 + 0j) - 6.0) < 1e-12
     assert em.claimed_k == 0.5
     assert abs(at(em, 0.5 + 0j) - eval_map(MOBIUS, 0.5)) < 1e-12
@@ -130,11 +131,13 @@ def test_mobius_convex_example():
 def test_mobius_convex_rejects_bad_a2():
     for a2 in (0.0, 1.0, 1.5, -2.0):
         with pytest.raises(PreconditionError):
-            ext_mobius_convex(a2)
+            ext_mobius_convex(parse_map(f"z/(1-{const_text(a2)}*z)"))
+    with pytest.raises(PreconditionError, match="disc automorphism"):
+        ext_mobius_convex(KOEBE)
 
 
 def test_radial_unimodular_example():
-    em = ext_radial_psi("unimodular_a2", 1.0, RadialProfile(2.0))
+    em = ext_radial_psi(parse_map("z/(1-z)"), RadialProfile(2.0))
     # psi(2) = 3: outer = 3/(1-3)
     assert abs(at(em, 2.0 + 0j) - (-1.5)) < 1e-12
     assert not np.isfinite(at(em, 1.0 + 0j))
@@ -142,7 +145,7 @@ def test_radial_unimodular_example():
 
 
 def test_radial_vp_example():
-    em = ext_radial_psi("vp_pole", 0.5, RadialProfile(2.0))
+    em = ext_radial_psi(parse_map("0.5*z/(0.5-z)"), RadialProfile(2.0), 0.5)
     assert abs(em.claimed_k - 0.6) < 1e-12
     assert not np.isfinite(at(em, 0.5 + 0j))
     assert abs(image_of_infinity(em) - (-0.5)) < 1e-9
@@ -152,11 +155,14 @@ def test_radial_validation():
     with pytest.raises(ValueError):
         RadialProfile(1.0)
     with pytest.raises(PreconditionError):
-        ext_radial_psi("unimodular_a2", 0.5, RadialProfile(2.0))
+        ext_radial_psi(MOBIUS, RadialProfile(2.0))
     with pytest.raises(PreconditionError):
-        ext_radial_psi("vp_pole", 1.5, RadialProfile(2.0))
-    with pytest.raises(ValueError):
-        ext_radial_psi("sideways", 0.5, RadialProfile(2.0))
+        ext_radial_psi(parse_map("1.5*z/(1.5-z)"), RadialProfile(2.0), 1.5)
+    # a map that is not Mobius is refused with or without p
+    with pytest.raises(PreconditionError, match="disc automorphism"):
+        ext_radial_psi(KOEBE, RadialProfile(2.0))
+    with pytest.raises(PreconditionError, match="psi with p = 0.5 extends only"):
+        ext_radial_psi(KOEBE, RadialProfile(2.0), 0.5)
 
 
 def test_radial_profile_shape():
@@ -261,8 +267,8 @@ def built_corpus():
     return {
         "huang_owa_ex3": ext_huang_owa(EX3),
         "thm2_ex2": ext_thm2(EX2),
-        "mobius": ext_mobius_convex(0.5),
-        "radial_vp": ext_radial_psi("vp_pole", 0.5, RadialProfile(2.0)),
+        "mobius": ext_mobius_convex(MOBIUS),
+        "radial_vp": ext_radial_psi(parse_map("0.5*z/(0.5-z)"), RadialProfile(2.0), 0.5),
         "brown": ext_brown(BROWN_F, 1.0),
         "thm5": ext_thm5(NEG_DERIV),
         "thm4": ext_exterior(G_U, "thm4"),
@@ -290,6 +296,27 @@ def _builtin_extension(bid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_extension(ex.theorem, parse_map(ex.text()), ex.params())
+
+
+# each builtin under its own theorem, and Mobius maps spelled otherwise than
+# z/(1 - a2 z) or p z/(p - z)
+ROUTES = {bid: (ex.theorem, ex.text(), ex.params()) for bid, ex in BUILTINS.items()}
+ROUTES.update(
+    {
+        "convex:1/(1/z-0.5)": ("convex", "1/(1/z-0.5)", {}),
+        "t1:1/(1/z-1)": ("t1", "1/(1/z-1)", {}),
+        "psi:z/(1-2*z)": ("psi", "z/(1-2*z)", {"p": 0.5 + 0j}),
+    }
+)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_extends_the_map_it_was_given(route):
+    theorem, text, params = ROUTES[route]
+    f = parse_map(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert build_extension(theorem, f, params).inner == f
 
 
 def _whole_side_reference(em, Z):
@@ -323,7 +350,7 @@ def test_blocked_evaluation_is_bit_identical_to_whole_sides(bid):
 
 
 def test_special_point_verification_catches_lies():
-    good = ext_mobius_convex(0.5)
+    good = ext_mobius_convex(MOBIUS)
     with pytest.raises(ArithmeticError):
         ExtendedMap(
             inner=good.inner,
@@ -353,7 +380,7 @@ def test_summary_shape(built_corpus):
 
 def test_becker_reproduces_convex_closed_form():
     em_chain = becker_extend(build_chain("convex_chain", MOBIUS))
-    em_closed = ext_mobius_convex(0.5)
+    em_closed = ext_mobius_convex(MOBIUS)
     rng = np.random.default_rng(5)
     Z = (1.05 + rng.random(40) * 3.0) * np.exp(2j * np.pi * rng.random(40))
     assert np.max(np.abs(em_chain.evaluate_array(Z) - em_closed.evaluate_array(Z))) < 1e-10

@@ -13,6 +13,7 @@ from qcext.corpus import builtin_ids, get_builtin
 from qcext.errors import PreconditionError
 from qcext.grids import CHAIN_BATCH_POINTS, MAX_GRID_POINTS, GridSpec, disc_grid
 from qcext.loewner import (
+    CHAIN_KINDS_SHORT,
     ChainCheckReport,
     ChainGrid,
     ChainSingularityError,
@@ -26,7 +27,6 @@ from qcext.loewner import (
     working_radius,
 )
 from qcext.mapexpr import eval_map, parse_map
-from qcext.report import CHAIN_KINDS_SHORT
 
 EX2 = parse_map("z/(1+0.5*z^2)")
 IDENTITY = parse_map("z")
@@ -303,6 +303,22 @@ def test_theorem_a_cor1():
     with pytest.warns(UserWarning):
         spec = build_chain("cor1_chain", G_INV)
     _assert_healthy(check_theorem_A(spec))
+
+
+def test_a1_fit_skips_the_derived_zero_window(monkeypatch):
+    # a1(t) = (e - 1) e^{-t} - 2 sinh t vanishes at t = 1/2 exactly
+    spec = build_chain("thm5_chain", parse_map("1.718281828459045*z"))
+    assert spec.a1_zero_window() == (0.45, 0.55)
+    fitted = []
+    fit = loewner._fit_first_coeff
+
+    def recorded(spec, t, rho):
+        fitted.append(t)
+        return fit(spec, t, rho)
+
+    monkeypatch.setattr(loewner, "_fit_first_coeff", recorded)
+    loewner.a1_fit_error(spec, 0.5)
+    assert fitted == [0.0, 1.0, 2.0, 4.0]
 
 
 def test_theorem_a_flags_out_of_class_map():

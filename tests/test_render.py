@@ -147,7 +147,11 @@ def test_colour_bytes_match_float_pipeline_on_crafted_values():
 
 @pytest.mark.parametrize(
     "fn",
-    [_fn(KOEBE), _fn(parse_map("1/(z-1)")), ext_mobius_convex(0.5).evaluate_array],
+    [
+        _fn(KOEBE),
+        _fn(parse_map("1/(z-1)")),
+        ext_mobius_convex(parse_map("z/(1-0.5*z)")).evaluate_array,
+    ],
     ids=["koebe", "pole", "extended_mobius"],
 )
 def test_colour_bytes_match_float_pipeline_at_512(fn):
