@@ -10,9 +10,14 @@ pair to pair.  The copy leaves out ``.git`` and every ``__pycache__``, so
 neither side starts with compiled bytecode that the other lacks; that would
 lower its ``setup_s`` and ``peak_rss_mb``.  The table holds every run's
 end-to-end metrics, each side's median and quartiles per metric, and the
-number of pairs the change won (ties count for neither side).  Once the table
-is written, the script exits 1 and names each run (workload, seed, side) that
-had a failed op or was not correct, since its numbers time the wrong work.
+number of pairs the change won (ties count for neither side).  Each metric's
+summary also holds the relative change of the medians, whether the metric
+moved the wrong way by more than its BENCHMARK.json ``bound``
+(``beyond_bound``), and whether the gap between the medians exceeds the
+parent's quartile spread (``beyond_spread``).  Once the table is written, the
+script prints one line for each workload and metric beyond its bound, then
+exits 1 and names each run (workload, seed, side) that had a failed op or was
+not correct, since its numbers time the wrong work.
 
 Run from the root of a source checkout:
 
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -77,6 +83,13 @@ def side_stats(runs: list, name: str) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def relative_change(before: float, after: float) -> float:
+    """(after - before) / |before|; a move away from 0 is infinite."""
+    if before == 0:
+        return 0.0 if after == 0 else math.copysign(math.inf, after)
+    return (after - before) / abs(before)
+
+
 def summarize(parent: list, change: list, metrics: list) -> dict:
     out = {}
     for m in metrics:
@@ -85,12 +98,19 @@ def summarize(parent: list, change: list, metrics: list) -> dict:
         for p, c in zip(parent, change):
             a, b = p["metrics"][name], c["metrics"][name]
             wins += (b < a) if lower else (b > a)
+        before, after = side_stats(parent, name), side_stats(change, name)
+        rel = relative_change(before["median"], after["median"])
         out[name] = {
             "better": m["better"],
-            "parent": side_stats(parent, name),
-            "change": side_stats(change, name),
+            "parent": before,
+            "change": after,
             "change_wins": wins,
             "pairs": len(parent),
+            "relative_change": rel,
+            "bound": m["bound"],
+            "beyond_bound": (rel if lower else -rel) > m["bound"],
+            "beyond_spread": abs(after["median"] - before["median"])
+            > before["q3"] - before["q1"],
         }
     return out
 
@@ -130,6 +150,14 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")
+    for workload, entry in table["workloads"].items():
+        for name, m in entry["summary"].items():
+            if m["beyond_bound"]:
+                print(
+                    f"beyond bound: {workload} {name} {m['parent']['median']:g} -> "
+                    f"{m['change']['median']:g} ({m['relative_change']:+.1%}, "
+                    f"bound {m['bound']:g}, {m['better']} is better)"
+                )
     bad = [
         f"{workload} seed {run['seed']} {side}"
         for workload, entry in table["workloads"].items()

@@ -41,15 +41,19 @@ MAX_GRID_POINTS = 1 << 24
 # borrow the size, to keep their temporaries small.
 #
 # The floor cuts both ways: stencil blocks stay at or above it, and the
-# Loewner chain checks stay below it.  They stack their t samples as rows
-# against the flattened z grid, at most CHAIN_BATCH_POINTS points per call.
-# A batch of several rows and the one-t calls it stands for all sit below
-# the floor, so they round alike; a grid larger than one batch gets one t
-# per call.  The batch stays at 2**12 points (64 KiB of complex values)
-# because a 2**13-point batch makes 128 KiB temporaries, which reach glibc's
-# default 128 KiB mmap and trim thresholds: without a mallopt setting each
-# batch is handed back to the kernel and faulted in again, and the chain
-# checks ran slower than at 2**12.
+# Loewner chain sweeps stay below it.  They stack their t samples as rows
+# against the flattened z grid, at most CHAIN_BATCH_POINTS points per call,
+# and reduce each batch at once.  A batch of several rows and the one-t
+# calls it stands for all sit below the floor, so they round alike; a grid
+# larger than one batch gets one t per call.  The batch stays at 2**12
+# points (64 KiB of complex values) because a 2**13-point batch makes
+# 128 KiB temporaries, which reach glibc's default 128 KiB mmap and trim
+# thresholds: without a mallopt setting each batch is handed back to the
+# kernel and faulted in again, and the chain checks ran slower than at
+# 2**12.  The subordination test does not batch: it puts its 64 query
+# points against the 1024-point curve in one call, whose (64, 1025) arrays
+# are booleans (64 KiB each, under the same thresholds), with complex
+# arithmetic only on the few edges that straddle a query's height.
 BLOCK_POINTS = 2**14
 CHAIN_BATCH_POINTS = 2**12
 

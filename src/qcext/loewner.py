@@ -9,7 +9,9 @@ of Re p, and the transition PDE df/dt = z f' p with derivatives taken by
 central differences so the closed forms are verified independently.  The
 K0 sweeps take max |f| on the outer ring of their meshes when _pole_free
 certifies that no f(., t) has a pole in the working disc, and on the whole
-mesh otherwise.
+mesh otherwise.  Each sweep evaluates its times in batches of rows
+(_batches) and takes one max or min per batch; subordination counts the
+curve's crossings of a ray from each query point.
 
 check_dk measures how deep p(z,t) sits in the disc-of-hyperbolic-radius set
 {|w-1|/|w+1| <= k}; staying inside with k < 1 is the quantitative form of
@@ -323,34 +325,40 @@ def herglotz_array(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
     s = e - em
     c = e + em
     f = spec.base_map
+    # each shared product keeps its operand order, as complex multiplication
+    # is not bitwise commutative (grids.BLOCK_POINTS); a negation moved out
+    # of a product (-a * b = -(a * b)) and x + -y = x - y hold exactly
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind == "thm2_eq3":
-            F = eval_array(f, em * Z)
-            A = eval_array(derive(f), em * Z)
-            num = -(Z**2) * A * em + c * F**2
-            den = Z**2 * A * em - s * F**2
+            U = em * Z
+            F2 = eval_array(f, U) ** 2
+            A = eval_array(derive(f), U)
+            ZA = Z**2 * A * em
+            num = c * F2 - ZA
+            den = ZA - s * F2
         elif spec.kind == "thm5_chain":
-            A = eval_array(derive(f), em * Z)
-            num = -(A * em + c)
-            den = A * em - s
+            Ae = eval_array(derive(f), em * Z) * em
+            num = -(Ae + c)
+            den = Ae - s
         elif spec.kind == "convex_chain":
-            Fp = eval_array(derive(f), Z)
-            Fpp = eval_array(derive(derive(f)), Z)
-            num = e * Fp
-            den = e * Fp + (e - 1.0) * Z * Fpp
+            num = e * eval_array(derive(f), Z)
+            den = num + (e - 1.0) * Z * eval_array(derive(derive(f)), Z)
         elif spec.kind == "krzyz_eq9":
             Wp = eval_array(derive(f), em * Z)
-            num = 1.0 + Wp * Z**2
-            den = 1.0 - Wp * Z**2
+            WZ = Wp * Z**2
+            num = 1.0 + WZ
+            den = 1.0 - WZ
         else:
-            G = eval_array(f, e / Z)
-            B = eval_array(derive(f), e / Z)
+            Ze = e / Z
+            G2 = eval_array(f, Ze) ** 2
+            Be = eval_array(derive(f), Ze) * e
+            Z2 = Z**2
             if spec.kind == "exterior_eq7a1":
-                num = -B * e + c * Z**2 * G**2
-                den = B * e + s * Z**2 * G**2
+                num = c * Z2 * G2 - Be
+                den = Be + s * Z2 * G2
             else:
-                num = -B * e - c * Z**2 * G**2
-                den = B * e - s * Z**2 * G**2
+                num = -Be - c * Z2 * G2
+                den = Be - s * Z2 * G2
         out = np.asarray(num / den, dtype=np.complex128)
         if Z.all():  # no z = 0 to set to p(0, t) = 1, as in chain_eval_array
             return out
@@ -371,15 +379,22 @@ def working_radius(spec: LoewnerChainSpec) -> float:
     return float(min(max(0.5 * d, 0.05), 0.85))
 
 
-def _rows(fn, Z: np.ndarray, samples: np.ndarray):
-    """(sample, row) pairs of fn(Z, S), in sample order, for a column S of
-    samples broadcast against the flattened points Z in batches of at most
-    CHAIN_BATCH_POINTS points (one row at least).  Each row is reduced on its
-    own by the caller, as a one-sample loop would."""
-    step = max(1, CHAIN_BATCH_POINTS // Z.size)
+def _batches(samples: np.ndarray, size: int):
+    """Columns of consecutive samples, in sample order, each broadcast by the
+    caller against size flattened points: at most CHAIN_BATCH_POINTS points
+    per batch, one sample at least.  The caller reduces each batch at once,
+    with axis=1 where a value per sample matters."""
+    step = max(1, CHAIN_BATCH_POINTS // size)
     for i in range(0, len(samples), step):
-        S = samples[i : i + step, None]
-        yield from zip(S[:, 0], fn(Z, S))
+        yield samples[i : i + step, None]
+
+
+def _a1_moduli(spec: LoewnerChainSpec, T: np.ndarray) -> np.ndarray:
+    """|a1(t)| for the column of times T, with the bits of abs(complex(
+    spec.a1(t))) at each t: np.hypot rounds as Python's complex abs does,
+    and np.abs of a complex array need not."""
+    a = spec.a1(T[:, 0])
+    return np.hypot(a.real, a.imag)
 
 
 def dk_radius_field(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
@@ -391,26 +406,31 @@ def dk_radius_field(spec: LoewnerChainSpec, Z: np.ndarray, T) -> np.ndarray:
 
 def check_dk(spec: LoewnerChainSpec, t_max: float = T_MAX) -> float:
     """Sup of |(p-1)/(p+1)| over the DK_MESH disc grid at DK_N_T times on
-    [0, t_max], reduced per t in t order (_rows).
+    [0, t_max], one max per batch of times (_batches).
 
     For the thm2_eq3 kind the ratio admits an exact algebraic reduction to
     e^(2t) |U| of the map scaled by e^(-t); the reduction is verified
     pointwise to TAU_THM2_REDUCTION while sweeping, and the first t that
-    breaches it raises ArithmeticError.
+    breaches it raises ArithmeticError.  Its factors are math.exp values,
+    as numpy's exp need not round as libm does.
     """
     Z = disc_grid(DK_MESH)
     sup = 0.0
-    ts = _times(DK_N_T, t_max)
-    for t, row in _rows(lambda Z, T: dk_radius_field(spec, Z, T), Z, ts):
-        sup = max(sup, float(np.max(row)))
+    for T in _batches(_times(DK_N_T, t_max), Z.size):
+        rows = dk_radius_field(spec, Z, T)
+        sup = max(sup, float(rows.max()))
         if spec.kind != "thm2_eq3":
             continue
-        want = math.exp(2 * t) * np.abs(u_field(spec.base_map, math.exp(-t) * Z))
-        finite = np.isfinite(row) & np.isfinite(want)
-        if np.any(finite):
-            resid = float(np.max(np.abs(row[finite] - want[finite])))
-            if resid > TAU_THM2_REDUCTION:
-                raise ArithmeticError(f"thm2 ratio reduction off by {resid} at t={t}")
+        ts = T[:, 0]
+        em = np.array([[math.exp(-t)] for t in ts])
+        e2 = np.array([[math.exp(2 * t)] for t in ts])
+        want = e2 * np.abs(u_field(spec.base_map, em * Z))
+        finite = np.isfinite(rows) & np.isfinite(want)
+        with np.errstate(invalid="ignore", over="ignore"):
+            gaps = np.where(finite, np.abs(rows - want), -np.inf).max(axis=1)
+        for t, gap in zip(ts, gaps):
+            if gap > TAU_THM2_REDUCTION:
+                raise ArithmeticError(f"thm2 ratio reduction off by {float(gap)} at t={t}")
     return sup
 
 
@@ -437,27 +457,33 @@ def a1_fit_error(spec: LoewnerChainSpec, r0: float) -> float:
 
 
 def _winding_numbers(polygon: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Winding number of the closed polygon about each query point, one
-    row of angles per point, each row summed on its own."""
-    rel = polygon - np.reshape(qs, (-1, 1))
-    args = np.angle(rel)
-    d = np.diff(np.concatenate([args, args[:, :1]], axis=1), axis=1)
-    # (d + pi) % 2pi - pi, for d in [-2pi, 2pi]: there % only takes 2pi off
-    # w = d + pi (exactly, for w in [2pi, 3pi]) or adds 2pi to a negative w,
-    # so doing that directly gives the same bits at a third of the cost
-    w = d + np.pi
-    w -= 2.0 * np.pi * (w >= 2.0 * np.pi)
-    w += 2.0 * np.pi * (w < 0.0)
-    return np.rint(np.sum(w - np.pi, axis=1) / (2.0 * np.pi))
+    """Winding number of the closed polygon about each query point off it:
+    the signed count of edges that cross the rightward horizontal ray from
+    the point (D. Sunday's crossing rule), +1 upward with the point on the
+    edge's left, -1 downward with it on the right, by the sign of one real
+    cross product per edge that straddles the point's height."""
+    qs = np.ravel(qs)
+    ends = np.append(polygon, polygon[:1])
+    below = ends.imag <= qs.imag[:, None]
+    q, i = np.nonzero(below[:, :-1] != below[:, 1:])
+    edge = ends[i + 1] - ends[i]
+    rel = qs[q] - ends[i]
+    cross = edge.real * rel.imag - rel.real * edge.imag
+    up = below[q, i]
+    return np.bincount(q[up & (cross > 0)], minlength=qs.size) - np.bincount(
+        q[~up & (cross < 0)], minlength=qs.size
+    )
 
 
 def subordination_ok(spec: LoewnerChainSpec, r0: float) -> bool:
     """Image of |z| = 0.9*r0 under f(.,s) must sit inside the image Jordan
     curve under f(.,t) for s < t (winding number 1 at every sample).
 
-    The 64 query points go against the 1024-point curve in batches of rows
-    (_rows).  One (64, 1024) broadcast gives the same winding numbers but
-    raised the chain benchmark's peak RSS by 5.4%."""
+    All 64 query points go against the 1024-point curve in one
+    _winding_numbers call: its (64, 1025) arrays are booleans, and only the
+    edges that straddle a query's height reach complex arithmetic.  An
+    angle sum over one complex (64, 1024) broadcast raised the chain
+    benchmark's peak RSS by 5.4%."""
     r = 0.9 * r0
     inner_pts = r * np.exp(1j * _angles(64))
     curve_pts = r * np.exp(1j * _angles(1024))
@@ -467,7 +493,7 @@ def subordination_ok(spec: LoewnerChainSpec, r0: float) -> bool:
         big = chain_eval_array(spec, curve_pts, t)
         if not (np.all(np.isfinite(small)) and np.all(np.isfinite(big))):
             return False
-        if any(w != 1 for _, w in _rows(_winding_numbers, big, small)):
+        if np.any(_winding_numbers(big, small) != 1):
             return False
     return True
 
@@ -475,24 +501,22 @@ def subordination_ok(spec: LoewnerChainSpec, r0: float) -> bool:
 def pde_residual_sup(spec: LoewnerChainSpec, r0: float, t_max: float = T_MAX) -> float:
     """Sup of |df/dt - z f' p| over the PDE_MESH grid of the r0-disc at N_T
     times on [0, t_max] (less a1's zero window), with df/dt and f' by central
-    differences and p in closed form, reduced per t in t order (_rows)."""
-
-    def resid(Z, T):
+    differences and p in closed form, one max per batch of times (_batches).
+    A non-finite residual makes the sup inf: max propagates NaN, which is
+    then read as inf."""
+    Z = disc_grid(PDE_MESH, r_max=r0)
+    Zp, Zm = Z + H_Z, Z - H_Z
+    sup = 0.0
+    for T in _batches(_times(N_T, t_max, spec.a1_zero_window(t_max)), Z.size):
         ft = (
             chain_eval_array(spec, Z, T + H_T)
             - chain_eval_array(spec, Z, T - H_T)
         ) / (2.0 * H_T)
-        fz = (
-            chain_eval_array(spec, Z + H_Z, T)
-            - chain_eval_array(spec, Z - H_Z, T)
-        ) / (2.0 * H_Z)
+        fz = (chain_eval_array(spec, Zp, T) - chain_eval_array(spec, Zm, T)) / (2.0 * H_Z)
         p = herglotz_array(spec, Z, T)
-        r = np.abs(ft - Z * fz * p)
-        return np.where(np.isfinite(r), r, np.inf)
-
-    Z = disc_grid(PDE_MESH, r_max=r0)
-    ts = _times(N_T, t_max, spec.a1_zero_window(t_max))
-    return max((float(np.max(row)) for _, row in _rows(resid, Z, ts)), default=0.0)
+        peak = float(np.abs(ft - Z * fz * p).max())
+        sup = max(sup, math.inf if math.isnan(peak) else peak)
+    return sup
 
 
 def _pole_free(spec: LoewnerChainSpec, r0: float, times: np.ndarray) -> bool:
@@ -548,9 +572,11 @@ def check_theorem_A(
     ring's samples stand for the mesh.  Otherwise they run on the full
     meshes, which stay the only path for inputs _pole_free refuses.
 
-    Every sweep evaluates t in batches and reduces each t on its own, in t
-    order (_rows), so a non-finite K0 sample raises ChainSingularityError at
-    the first (t, z) a one-t loop on the same mesh would meet."""
+    Every sweep evaluates t in batches (_batches) and reduces each batch at
+    once, with the bits a one-t loop on the same mesh gives: maxima and
+    minima do not depend on the order they are taken in once NaN is
+    handled, and a non-finite K0 sample raises ChainSingularityError at the
+    first (t, z) in row-major order, the one a one-t loop would meet."""
     grid = grid or ChainGrid()
     r0 = working_radius(spec)
     window = spec.a1_zero_window(grid.t_max)
@@ -564,38 +590,44 @@ def check_theorem_A(
     def modulus(Z, T):
         return np.abs(chain_eval_array(spec, Z, T))
 
-    # growth constant on the working disc, normalized by a1
+    # growth constant on the working disc, normalized by a1; max propagates
+    # NaN and |f| is not below 0, so a row's peak is finite exactly when
+    # each of its values is
     Zr = k0_mesh(grid.z)
     K0 = 0.0
     K0_half = 0.0
-    for t, row in _rows(modulus, Zr, ts):
-        if not np.all(np.isfinite(row)):
-            bad = int(np.argmax(~np.isfinite(row)))
-            raise ChainSingularityError(complex(Zr[bad]), float(t))
-        ratio = float(np.max(row)) / abs(complex(spec.a1(t)))
-        K0 = max(K0, ratio)
-        if t <= grid.t_max / 2:
-            K0_half = max(K0_half, ratio)
+    for T in _batches(ts, Zr.size):
+        mod = modulus(Zr, T)
+        peak = mod.max(axis=1)
+        if not np.isfinite(peak).all():
+            row, bad = divmod(int(np.argmax(~np.isfinite(mod))), Zr.size)
+            raise ChainSingularityError(complex(Zr[bad]), float(T[row, 0]))
+        ratio = peak / _a1_moduli(spec, T)
+        K0 = max(K0, float(ratio.max()))
+        early = ratio[T[:, 0] <= grid.t_max / 2]
+        if early.size:
+            K0_half = max(K0_half, float(early.max()))
     growth_ratio = K0 / K0_half if K0_half > 0 else math.inf
     K0_claimed = 1.05 * K0
 
-    # re-verify the fitted bound on a doubled mesh; max propagates NaN, so a
-    # row's peak fails exactly when one of its values does
+    # re-verify the fitted bound on a doubled mesh; a NaN peak fails the
+    # comparison exactly when one of its row's values does
     Zf = k0_mesh(GridSpec(2 * grid.z.n_r, 2 * grid.z.n_theta))
     k0_refined_ok = all(
-        peak <= K0_claimed * abs(complex(spec.a1(t)))
-        for t, peak in _rows(lambda Z, T: modulus(Z, T).max(axis=1), Zf, tf)
+        np.all(modulus(Zf, T).max(axis=1) <= K0_claimed * _a1_moduli(spec, T))
+        for T in _batches(tf, Zf.size)
     )
 
-    # Herglotz positivity on the full disc
-    def re_p(Z, T):
-        p = herglotz_array(spec, Z, T)
-        return np.where(np.isfinite(p.real), p.real, -np.inf)
-
+    # Herglotz positivity on the full disc; a non-finite real part reads as
+    # -inf, and min propagates NaN while max finds +inf
     Zd = disc_grid(grid.z)
-    min_re = min(
-        (float(np.min(row)) for _, row in _rows(re_p, Zd, ts)), default=math.inf
-    )
+    min_re = math.inf
+    for T in _batches(ts, Zd.size):
+        re = herglotz_array(spec, Zd, T).real
+        low = float(re.min())
+        if math.isnan(low) or re.max() == math.inf:
+            low = -math.inf
+        min_re = min(min_re, low)
 
     dk_sup = check_dk(spec, grid.t_max)
     resid = pde_residual_sup(spec, r0, grid.t_max)

@@ -751,6 +751,103 @@ def test_subordination_fails_on_a_row_inside_a_batch(monkeypatch):
     assert not _one_t_subordination(spec, r0)
 
 
+def _poison_p(monkeypatch, t_bad, z_bad, value):
+    """Make herglotz_array return value at (t_bad, z_bad), in check_theorem_A
+    and in the one-t loops of this file."""
+    real = loewner.herglotz_array
+
+    def poisoned(spec, Z, T):
+        hit = (np.asarray(T) == t_bad) & (np.asarray(Z) == z_bad)
+        return np.where(hit, value, real(spec, Z, T))
+
+    monkeypatch.setattr(loewner, "herglotz_array", poisoned)
+    monkeypatch.setitem(globals(), "herglotz_array", poisoned)
+
+
+def _poisoned_report(spec, grid, field, want):
+    """The report with the poison in place, after checking that field reads
+    want, that the report fails, and that the one-t loop agrees."""
+    batched = _outcome(check_theorem_A, spec, grid)
+    assert batched[field] == want.hex()
+    assert batched["passed"] is False
+    assert batched == _outcome(_one_t_report, spec, grid)
+
+
+def test_pde_nan_in_a_later_batch_reads_as_inf(monkeypatch):
+    # Python's max skips a NaN that does not come first, so a batch's NaN
+    # peak must be read as inf before it meets the running sup
+    spec = build_chain("thm2_eq3", EX2)
+    grid = ChainGrid()
+    Z = disc_grid(loewner.PDE_MESH, r_max=working_radius(spec))
+    ts = loewner._times(64, grid.t_max, spec.a1_zero_window(grid.t_max))
+    rows = CHAIN_BATCH_POINTS // Z.size
+    assert rows == 7
+    # f at the later time of the central difference, third row of batch two
+    _poison(monkeypatch, [(ts[rows + 2] + loewner.H_T, Z[100])])
+    _poisoned_report(spec, grid, "pde_residual_sup", math.inf)
+
+
+def test_herglotz_inf_real_part_reads_as_minus_inf(monkeypatch):
+    # min finds NaN and -inf but not +inf, which must read as -inf as well
+    spec = build_chain("thm2_eq3", EX2)
+    grid = ChainGrid()
+    Zd = disc_grid(grid.z)
+    ts = loewner._times(64, grid.t_max, spec.a1_zero_window(grid.t_max))
+    # a time the D(k) sweep does not take, a point off the PDE mesh
+    assert ts[9] not in loewner._times(loewner.DK_N_T, grid.t_max)
+    assert Zd[300] not in disc_grid(loewner.PDE_MESH, r_max=working_radius(spec))
+    _poison_p(monkeypatch, ts[9], Zd[300], complex(np.inf, 0.0))
+    _poisoned_report(spec, grid, "herglotz_min_re", -math.inf)
+
+
+def test_dk_nan_reads_as_inf(monkeypatch):
+    spec = build_chain("thm2_eq3", EX2)
+    grid = ChainGrid()
+    Zk = disc_grid(loewner.DK_MESH)
+    tk = loewner._times(loewner.DK_N_T, grid.t_max)
+    # tk[6] = 2, the third row of the second batch, is no Herglotz or PDE time
+    assert CHAIN_BATCH_POINTS // Zk.size == 4
+    assert tk[6] not in loewner._times(64, grid.t_max, spec.a1_zero_window(grid.t_max))
+    _poison_p(monkeypatch, tk[6], Zk[700], complex(np.nan, np.nan))
+    _poisoned_report(spec, grid, "dk_radius_sup", math.inf)
+
+
+SQUARE = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+DIAMOND = np.array([1, 1j, -1, -1j])
+# a bar 4 wide and 2 high with a stem 2 wide on top: its edges from 4 + 2i
+# to 3 + 2i and from 1 + 2i to 2i lie on the line y = 2
+STEMMED = np.array([0, 4, 4 + 2j, 3 + 2j, 3 + 4j, 1 + 4j, 1 + 2j, 2j])
+# vertex k at angle pi/2 + 4 pi k / 5: twice round the inner pentagon
+PENTAGRAM = np.exp(1j * (np.pi / 2 + 0.8 * np.pi * np.arange(5)))
+
+
+@pytest.mark.parametrize(
+    "polygon, qs, want",
+    [
+        # queries at the height of the vertices 1 and -1, and of i
+        (DIAMOND, [0.5, -0.5, 0, 1.5, -1.5, 0.5 + 1j, -0.5 + 1j], [1, 1, 1, 0, 0, 0, 0]),
+        # queries on the lines of horizontal edges
+        (STEMMED, [2 + 2j, 2 + 1j, 5 + 2j, -1 + 2j, -1 + 4j, -1], [1, 1, 0, 0, 0, 0]),
+        (SQUARE, [3 + 1j, -3 - 1j, -3 + 1j], [0, 0, 0]),
+        # a clockwise curve
+        (SQUARE[::-1], [0, 0.5 + 0.25j, -0.9 + 0.99j, 3j], [-1, -1, -1, 0]),
+        # winding 2 in the core, 1 in the points
+        (
+            PENTAGRAM,
+            [0, 0.1 - 0.05j, 0.7j, 0.7 * np.exp(0.1j * np.pi), 0.7 * np.exp(1.3j * np.pi)],
+            [2, 2, 1, 1, 1],
+        ),
+        # far outside
+        (PENTAGRAM, [1e6, -1e6j, 1e6 + 1e6j], [0, 0, 0]),
+    ],
+    ids=["vertex-heights", "horizontal-edges", "square-edges", "clockwise", "pentagram", "far"],
+)
+def test_crossing_rule_matches_the_angle_sum(polygon, qs, want):
+    qs = np.asarray(qs, dtype=complex)
+    assert [_winding_number(polygon, q) for q in qs] == want
+    assert loewner._winding_numbers(polygon, qs).tolist() == want
+
+
 @pytest.mark.parametrize("bid, kind, text", CORPUS_CHAINS, ids=[c[0] for c in CORPUS_CHAINS])
 def test_theorem_a_memory_peak(bid, kind, text):
     # one t per call peaked at 0.31-0.49 MiB, batches of 2^12 points at
@@ -758,7 +855,9 @@ def test_theorem_a_memory_peak(bid, kind, text):
     # 4096 points peaked at 2.17-2.18 MiB and broadcasting every t at once
     # at 17-50 MiB.  Measured again with numpy 2.4: 0.55-0.74 MiB with both
     # K0 sweeps on their full meshes, 0.46-0.65 MiB with them on the outer
-    # ring, as every corpus chain is certified pole-free
+    # ring, as every corpus chain is certified pole-free, and 0.58-0.76 MiB
+    # with one max or min per batch and all 64 subordination queries in one
+    # crossing-rule call
     spec = _corpus_spec(kind, text)
     check_theorem_A(spec)  # warm the per-map caches
     tracemalloc.start()
