@@ -10,14 +10,16 @@ pair to pair.  The copy leaves out ``.git`` and every ``__pycache__``, so
 neither side starts with compiled bytecode that the other lacks; that would
 lower its ``setup_s`` and ``peak_rss_mb``.  The table holds every run's
 end-to-end metrics, each side's median and quartiles per metric, and the
-number of pairs the change won (ties count for neither side).  Each metric's
+number of pairs the change won (ties count for neither side), and each
+side's count of lines in the Python files under ``src/``.  Each metric's
 summary also holds the relative change of the medians, whether the metric
 moved the wrong way by more than its BENCHMARK.json ``bound``
 (``beyond_bound``), and whether the gap between the medians exceeds the
 parent's quartile spread (``beyond_spread``).  Once the table is written, the
-script prints one line for each workload and metric beyond its bound, then
-exits 1 and names each run (workload, seed, side) that had a failed op or was
-not correct, since its numbers time the wrong work.
+script prints both sides' ``src/`` line counts and one line for each workload
+and metric beyond its bound, then exits 1 and names each run (workload, seed,
+side) that had a failed op or was not correct, since its numbers time the
+wrong work.
 
 Run from the root of a source checkout:
 
@@ -56,6 +58,17 @@ def export(rev: str, dest: str) -> str:
         tar.extractall(tree, filter="data")
     os.remove(archive)
     return commit
+
+
+def src_lines(root: str) -> int:
+    """Lines of the Python files under root/src, as wc -l counts them."""
+    total = 0
+    for dirpath, _, names in os.walk(os.path.join(root, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -134,6 +147,7 @@ def main(argv=None) -> int:
         table["parent"] = export(args.parent, tmp)
         roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
         shutil.copytree(ROOT, roots["change"], ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        table["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
         for workload in (w["name"] for w in bench["workloads"]):
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(SEEDS):
@@ -150,6 +164,11 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")
+    lines = table["src_lines"]
+    print(
+        f"src lines: parent {lines['parent']}, change {lines['change']} "
+        f"({lines['change'] - lines['parent']:+d})"
+    )
     for workload, entry in table["workloads"].items():
         for name, m in entry["summary"].items():
             if m["beyond_bound"]:

@@ -179,12 +179,6 @@ def infinity_chart_field(em: ExtendedMap) -> BeltramiField:
     )
     radii = np.linspace(1.0 / (5.0 * CHART_RADIUS), 1.0 / CHART_RADIUS, 12)
     W = polar(radii, seam_circle(48))
-    zones = [
-        (1.0 / complex(src), POLE_EXCLUSION / (5.0 * CHART_RADIUS))
-        for src, _ in em.special_points
-        if not is_infinity(src) and abs(complex(src)) > 1.0 / (2.0 * CHART_RADIUS)
-    ]
-    W = _apply_zones(W, zones)
 
     if fixes_inf:
 

@@ -33,6 +33,7 @@ from .grids import (
     seam_sup,
 )
 from .mapexpr import (
+    TAU_JET,
     TAU_NORMALIZED,
     Const,
     Div,
@@ -60,12 +61,6 @@ TAU_CLASS = 1e-9
 # radius of the disc around a pole that the V_p_lambda sweep and the
 # Beltrami field's exclusion zones leave out
 POLE_EXCLUSION = 0.02
-# phi_from_map: phi(0) and phi'(0) allowed from the shifted series
-TAU_PHI_ORDER = 1e-9
-# _chart_value: |c0 - 1| allowed for the krzyz chart's g = c0 z + ...
-TAU_CHART_LEAD = 1e-12
-# exterior_lead: |c0 - 1|, or ||c0| - 1| for a unimodular c0
-TAU_EXTERIOR_LEAD = 1e-9
 
 CLASS_NAMES = (
     "U_lambda",
@@ -133,7 +128,6 @@ def u_field(f: MapExpr, Z: np.ndarray) -> np.ndarray:
     return eval_array(u_expr(f), Z)
 
 
-@functools.lru_cache(maxsize=256)
 def phi_from_map(f: MapExpr) -> MapExpr:
     """phi(z) = z/f(z) + a2*z - 1 for normalized f.
 
@@ -154,7 +148,7 @@ def phi_from_map(f: MapExpr) -> MapExpr:
     zf = series_inv(np.array(jf[1:], dtype=complex))
     phi0 = zf[0] - 1.0
     phi1 = zf[1] + a2
-    if abs(phi0) > TAU_PHI_ORDER or abs(phi1) > TAU_PHI_ORDER:
+    if abs(phi0) > TAU_JET or abs(phi1) > TAU_JET:
         raise PreconditionError("phi does not vanish to second order at 0")
     return phi
 
@@ -176,7 +170,7 @@ def _chart_value(g: MapExpr, which: str) -> float:
     if which == "M_krzyz_decay":
         # (g' - 1) * z^2 tends to -c2 when g = z + c1 + c2/z + ...
         k, c = laurent_at_infinity(g, 4)
-        if k != 1 or abs(c[0] - 1.0) > TAU_CHART_LEAD:
+        if k != 1 or abs(c[0] - 1.0) > TAU_NORMALIZED:
             return math.inf
         return abs(c[2])
     raise ValueError(f"no chart sample for criterion {which}")
@@ -236,15 +230,15 @@ def exterior_lead(g: MapExpr, unimodular: bool = False) -> complex:
         raise PreconditionError("exterior map needs a simple pole at infinity")
     c0 = complex(c[0])
     if unimodular:
-        if abs(abs(c0) - 1.0) > TAU_EXTERIOR_LEAD:
+        if abs(abs(c0) - 1.0) > TAU_JET:
             raise PreconditionError(f"leading coefficient must be unimodular, got {c0}")
-        if abs(c0 - 1.0) > TAU_EXTERIOR_LEAD:
+        if abs(c0 - 1.0) > TAU_JET:
             warnings.warn(
                 f"exterior map with leading coefficient {c0}; the construction "
                 "and its chain tolerate any unimodular one",
                 stacklevel=3,
             )
-    elif abs(c0 - 1.0) > TAU_EXTERIOR_LEAD:
+    elif abs(c0 - 1.0) > TAU_JET:
         raise PreconditionError(f"leading coefficient must be 1, got {c0}")
     return c0
 

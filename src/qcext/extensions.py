@@ -30,7 +30,6 @@ from .corpus import THEOREMS
 from .errors import PreconditionError
 from .grids import blocks, seam_circle, seam_sup
 from .loewner import (
-    TAU_W0,
     LoewnerChainSpec,
     chain_eval_array,
     check_theorem_A,
@@ -38,6 +37,8 @@ from .loewner import (
 )
 from .mapexpr import (
     TAU_COEFF_DUST,
+    TAU_JET,
+    TAU_NORMALIZED,
     TAU_POLE_MARGIN,
     Add,
     Const,
@@ -65,15 +66,6 @@ TAU_SEAM = 1e-9
 # ExtendedMap: chordal distance allowed between a special point's image and
 # the assembled map's value there
 TAU_SPECIAL_POINT = 1e-6
-# _require_normalized_jet and ext_thm2: |f(0)|, |f'(0) - 1| and |a2|;
-# ext_radial_psi: |a2 p - 1| for p z/(p - z)
-TAU_JET = 1e-9
-# ext_huang_owa: |a2| at most this sends infinity to infinity; below it,
-# build_extension routes t1 to ext_huang_owa
-TAU_A2_ZERO = 1e-12
-# ext_radial_psi: ||a2| - 1| allowed for a pole on the seam; build_extension
-# routes t1 to ext_radial_psi within it
-TAU_UNIMODULAR = 1e-9
 
 SpecialPoint = Tuple[ExtComplex, ExtComplex]
 
@@ -250,7 +242,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
         W = 1.0 / np.conj(Z)
         return Z / (1.0 - a2 * Z + np.abs(Z) ** 2 * eval_array(phi, W))
 
-    at_inf = INFINITY if abs(a2) <= TAU_A2_ZERO else -1.0 / a2
+    at_inf = INFINITY if abs(a2) <= TAU_NORMALIZED else -1.0 / a2
     return _reflected(f, "phi_reflection", (("a2", repr(a2)),), outer, claimed, at_inf)
 
 
@@ -328,7 +320,7 @@ def ext_radial_psi(f: MapExpr, profile: RadialProfile, p: Optional[complex] = No
     M = profile.M
     if p is None:
         a2 = _require_mobius_a2(f)
-        if abs(abs(a2) - 1.0) > TAU_UNIMODULAR:
+        if abs(abs(a2) - 1.0) > TAU_JET:
             raise PreconditionError("unimodular_a2 needs |a2| = 1")
 
         def outer(Z):
@@ -434,7 +426,8 @@ def _recover_w(g: MapExpr) -> MapExpr:
     den = np.zeros(len(Q) + 1, dtype=np.complex128)
     den[1:] = Q  # z * Q
     scale = max(np.max(np.abs(P)), np.max(np.abs(Q)))
-    den[np.abs(den) <= TAU_COEFF_DUST * scale] = 0.0
+    if np.isfinite(scale):  # as in shifted_difference
+        den[np.abs(den) <= TAU_COEFF_DUST * scale] = 0.0
     v = 0
     while v < len(num) and v < len(den) and num[v] == 0 and den[v] == 0:
         v += 1
@@ -469,7 +462,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
     if which == "krzyz":
         w = _recover_w(g)
         w0 = eval_map(w, 0j)
-        if is_infinity(w0) or abs(w0) > TAU_W0:
+        if is_infinity(w0) or abs(w0) > TAU_JET:
             warnings.warn(
                 f"w(0) = {w0} is nonzero: the glued map need not extend the "
                 "chain construction (formula-only mode)",
@@ -567,8 +560,8 @@ def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> Ext
         return ext_radial_psi(f, profile, params.get("p"))
     # t1 splits on whether the small functional vanishes identically
     a2 = _mobius_a2(f)
-    if a2 is None or abs(a2) < TAU_A2_ZERO:
+    if a2 is None or abs(a2) < TAU_NORMALIZED:
         return ext_huang_owa(f)
-    if abs(abs(a2) - 1.0) <= TAU_UNIMODULAR:
+    if abs(abs(a2) - 1.0) <= TAU_JET:
         return ext_radial_psi(f, profile)
     return ext_mobius_convex(f)

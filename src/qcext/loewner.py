@@ -32,6 +32,8 @@ from .classifiers import TAU_CLASS, exterior_lead, seam_bound, u_field
 from .errors import PreconditionError
 from .grids import CHAIN_BATCH_POINTS, GridSpec, _angles, disc_grid
 from .mapexpr import (
+    TAU_JET,
+    TAU_NORMALIZED,
     TAU_POLE_MARGIN,
     Add,
     Const,
@@ -39,10 +41,10 @@ from .mapexpr import (
     MapExpr,
     Var,
     compose,
+    denominator_roots,
     derive,
     eval_array,
     is_normalized,
-    nearest_singularity,
     parse_map,
     poles_in_disc,
     rational_form,
@@ -65,11 +67,6 @@ H_T = 1e-4
 H_Z = 1e-5
 # check_dk's pointwise gap between the thm2_eq3 ratio and its reduction
 TAU_THM2_REDUCTION = 1e-10
-# build_chain: |f(0)| allowed for thm5_chain
-TAU_F0 = 1e-12
-# build_chain: |w(0)| allowed for krzyz_eq9; extensions.ext_exterior warns
-# when the krzyz w has |w(0)| above it
-TAU_W0 = 1e-9
 # a1_zero_window: |a1| at most this times max(1, |c_lead|) counts as a zero
 TAU_A1_ZERO = 1e-2
 
@@ -227,13 +224,13 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
 
     if kind == "thm5_chain":
         jet = taylor_jet(base_map, 2)
-        if abs(jet[0]) > TAU_F0:
+        if abs(jet[0]) > TAU_NORMALIZED:
             raise PreconditionError("thm5_chain needs f(0)=0")
         return LoewnerChainSpec(kind, base_map, jet[1], seam_bound(base_map, "thm5"))
 
     if kind == "krzyz_eq9":
         jet = taylor_jet(base_map, 2)
-        if abs(jet[0]) > TAU_W0:
+        if abs(jet[0]) > TAU_JET:
             raise PreconditionError(
                 f"krzyz_eq9 needs w(0)=0, got w(0)={jet[0]}"
             )
@@ -373,7 +370,9 @@ def working_radius(spec: LoewnerChainSpec) -> float:
     """Half the distance from 0 to the nearest time-zero singularity,
     clamped to [0.05, 0.85].  The cap keeps the finite-difference PDE
     residual comfortably inside tolerance at t near T_MAX."""
-    d = nearest_singularity(time_zero_map(spec))
+    # removable roots count too, so exterior_pole's cor1 chain gets 0.05
+    _, Q = rational_form(time_zero_map(spec))
+    d = float(np.min(np.abs(denominator_roots(Q)), initial=np.inf))
     if not math.isfinite(d):
         return 0.85
     return float(min(max(0.5 * d, 0.05), 0.85))

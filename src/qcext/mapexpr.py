@@ -43,8 +43,17 @@ import numpy as np
 from .sphere import INFINITY, ExtComplex, is_infinity
 
 MAX_EXPONENT = 64
-# is_normalized: |f(0)| and |f'(0) - 1| allowed for f = z + O(z^2)
+# a coefficient the map must have exactly: |f(0)| and |f'(0) - 1| in
+# is_normalized and classifiers.phi_from_map, |f(0)| for the thm5 chain,
+# |a2| below which t1 takes ext_huang_owa and it sends infinity to infinity,
+# |c0 - 1| for the krzyz chart's g = c0 z + ...
 TAU_NORMALIZED = 1e-12
+# a hypothesis on a jet: |f(0)|, |f'(0) - 1| and the thm2 |a2| of the
+# extension builders, |w(0)| for the krzyz chain and the krzyz w warning,
+# ||a2| - 1| for a pole on the seam (psi, and t1's route to it), |a2 p - 1|
+# for psi's p z/(p - z), phi(0) and phi'(0) in phi_from_map, |c0 - 1| or
+# ||c0| - 1| in classifiers.exterior_lead
+TAU_JET = 1e-9
 # shifted_difference and extensions._recover_w: coefficients at most this
 # times the coefficient scale are rounding dust and get zeroed
 TAU_COEFF_DUST = 1e-12
@@ -492,7 +501,8 @@ def shifted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[1 : len(a) + 1] += a
     out[: len(b)] -= b
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-    out[np.abs(out) <= TAU_COEFF_DUST * scale] = 0.0
+    if np.isfinite(scale):  # beside an overflowed scale nothing is dust
+        out[np.abs(out) <= TAU_COEFF_DUST * scale] = 0.0
     return out
 
 
@@ -538,16 +548,19 @@ def _degree(p: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else -1
 
 
+def denominator_roots(Q: np.ndarray) -> np.ndarray:
+    """Roots of a normal form's denominator Q (ascending coefficients),
+    removable ones included; none when Q is constant."""
+    return np.polynomial.polynomial.polyroots(Q)
+
+
 def poles_in_disc(m: MapExpr, radius: float = 1.0) -> list[complex]:
     """Roots of the denominator with |root| < radius, excluding removable
     candidates where the numerator vanishes as well."""
     P, Q = rational_form(m)
-    if _degree(Q) < 1:
-        return []
-    roots = np.polynomial.polynomial.polyroots(Q)
     pscale = max(np.max(np.abs(P)), 1.0)
     out = []
-    for r in roots:
+    for r in denominator_roots(Q):
         if abs(r) >= radius:
             continue
         pv = np.polynomial.polynomial.polyval(r, P)
@@ -556,17 +569,6 @@ def poles_in_disc(m: MapExpr, radius: float = 1.0) -> list[complex]:
         out.append(complex(r))
     out.sort(key=lambda w: (abs(w), w.real, w.imag))
     return out
-
-
-def nearest_singularity(m: MapExpr) -> float:
-    """Distance from 0 to the nearest denominator root (inf when entire)."""
-    P, Q = rational_form(m)
-    if _degree(Q) < 1:
-        return float("inf")
-    roots = np.polynomial.polynomial.polyroots(Q)
-    if roots.size == 0:
-        return float("inf")
-    return float(np.min(np.abs(roots)))
 
 
 # ---------------------------------------------------------------------------

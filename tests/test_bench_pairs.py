@@ -1,5 +1,6 @@
-"""scripts/bench_pairs.py refuses a pair table that holds a bad run and
-flags each metric that moved the wrong way by more than its bound."""
+"""scripts/bench_pairs.py refuses a pair table that holds a bad run, flags
+each metric that moved the wrong way by more than its bound, and records
+each side's src/ line count."""
 
 import importlib.util
 import json
@@ -18,13 +19,21 @@ def _script():
     return module
 
 
+def _fake_src(root, lines):
+    # a src/ tree with lines lines of Python and a file that is not counted
+    pkg = Path(root) / "src" / "qcext"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("".join(f"x{i} = {i}\n" for i in range(lines)))
+    (pkg / "notes.txt").write_text("not counted\n")
+
+
 def _fake_checkouts(bench, monkeypatch):
     def export(rev, dest):
-        os.makedirs(os.path.join(dest, "parent"))
+        _fake_src(os.path.join(dest, "parent"), 3)
         return "0" * 40
 
     monkeypatch.setattr(bench, "export", export)
-    monkeypatch.setattr(bench.shutil, "copytree", lambda src, dst, ignore: os.makedirs(dst))
+    monkeypatch.setattr(bench.shutil, "copytree", lambda src, dst, ignore: _fake_src(dst, 2))
 
 
 @pytest.mark.parametrize("bad", [None, {"failed": 2}, {"correct": False}])
@@ -44,8 +53,12 @@ def test_pair_table_exits_one_on_a_bad_run(bad, tmp_path, monkeypatch, capsys):
     out = tmp_path / "pairs.json"
     code = bench.main(["--parent", "HEAD", "--out", str(out)])
     # the table is written either way
-    assert json.loads(out.read_text())["pairs"] == 10
-    err = capsys.readouterr().err
+    table = json.loads(out.read_text())
+    assert table["pairs"] == 10
+    assert table["src_lines"] == {"parent": 3, "change": 2}
+    captured = capsys.readouterr()
+    assert "src lines: parent 3, change 2 (-1)\n" in captured.out
+    err = captured.err
     if bad is None:
         assert code == 0 and err == ""
     else:

@@ -197,6 +197,21 @@ def test_verify_near_mobius_map_under_a_mobius_theorem_exits_two(theorem, capsys
     assert "vanishes identically" in captured.err
 
 
+def test_a_coefficient_scale_that_overflows_zeroes_no_dust(capsys):
+    # the Mobius test's coefficient scale for a2 = 1e200 overflows to inf;
+    # inf times TAU_COEFF_DUST must not zero every coefficient, which read
+    # z + 1e200 z^2 as z/(1 - a2 z)
+    argv = ["verify", "--map", "z+1e200*z^2", "--theorem", "convex", "--grid", "16x16"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "qcext: this case applies only when the small functional vanishes "
+        "identically (a disc automorphism denominator)\n"
+    )
+
+
 def test_indeterminate_map_at_zero_is_a_numerical_failure(capsys):
     # ext_thm5 reads z/z at 0, where its normal form is 0/0
     code = main(["verify", "--map", "z/z", "--theorem", "t5", "--grid", "8x8"])

@@ -22,12 +22,12 @@ from qcext.mapexpr import (
     Var,
     compose,
     const_text,
+    denominator_roots,
     derive,
     eval_array,
     eval_map,
     is_normalized,
     laurent_at_infinity,
-    nearest_singularity,
     parse_map,
     poles_in_disc,
     print_expr,
@@ -378,8 +378,13 @@ def test_poles_in_disc_skips_removable():
 
 
 def test_nearest_singularity():
-    assert nearest_singularity(parse_map("z+0.25*z^2")) == float("inf")
-    assert abs(nearest_singularity(parse_map("z/(1-0.5*z)")) - 2.0) < 1e-12
+    # the distance loewner.working_radius reads from the denominator's roots
+    def nearest(text):
+        _, Q = rational_form(parse_map(text))
+        return float(np.min(np.abs(denominator_roots(Q)), initial=np.inf))
+
+    assert nearest("z+0.25*z^2") == float("inf")
+    assert abs(nearest("z/(1-0.5*z)") - 2.0) < 1e-12
 
 
 def test_is_normalized():

@@ -12,19 +12,33 @@ so nothing from perfbench is needed on the import path.
 The Taylor jets at 0 read the rational normal form P/Q, while derive walks
 the tree; on every builtin and a seeded sample of the draws the first two
 jet coefficients must match the symbolic derivatives to a relative 1e-12.
+On the same draws, every extension that any theorem's builder accepts keeps
+its finite special points on the closed disc, up to TAU_POLE_MARGIN, so none
+comes near the infinity chart, whose points lie at |w| <= 0.1.
 """
 
 import importlib.util
 import random
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import qcext.cli
-from qcext.corpus import builtin_ids, get_builtin
-from qcext.mapexpr import PoleAtCenterError, derive, eval_map, parse_map, taylor_jet
+from qcext.corpus import THEOREMS, builtin_ids, get_builtin
+from qcext.errors import PreconditionError
+from qcext.extensions import build_extension
+from qcext.mapexpr import (
+    TAU_POLE_MARGIN,
+    MapExprError,
+    PoleAtCenterError,
+    derive,
+    eval_map,
+    parse_map,
+    taylor_jet,
+)
 from qcext.sphere import is_infinity
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -80,3 +94,25 @@ def test_jets_match_the_symbolic_derivatives(draw):
     d2 = eval_map(derive(derive(f)), 0j)
     assert abs(jet[1] - d1) <= 1e-12 * abs(d1)
     assert abs(2 * jet[2] - d2) <= 1e-12 * abs(d2)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_special_points_stay_on_the_closed_disc(theorem):
+    # so the infinity chart's points, at |w| <= 1/CHART_RADIUS, stay far
+    # from every 1/src, which lies at |w| >= 1/(1 + TAU_POLE_MARGIN)
+    built = 0
+    for builtin, *params in _draws():
+        overrides = {name: complex(v) for name, _, v in (p.partition("=") for p in params)}
+        ex = get_builtin(builtin)
+        f = parse_map(ex.text(overrides))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # exterior_pole's lead -1
+                em = build_extension(theorem, f, ex.params(overrides))
+        except (PreconditionError, ValueError, ArithmeticError, MapExprError):
+            continue
+        built += 1
+        for src, _ in em.special_points:
+            if not is_infinity(src):
+                assert abs(complex(src)) <= 1.0 + TAU_POLE_MARGIN, (builtin, params, src)
+    assert built > 0
