@@ -5,7 +5,10 @@ bound either |U| itself, |U|/|z|^2, or a first-derivative distance, over the
 disc or the exterior of the closed disc.  criterion_field evaluates each
 criterion's functional; check_class sweeps it over a polar grid, adds a
 chart sample at infinity for exterior criteria, and returns the worst
-sampled value with the point that produced it.  seam_bound is the same
+sampled value with the point that produced it.  The sweep takes the grid in
+ring chunks and evaluates it in the blocks of grids.side_blocks, reducing
+each block as it goes, so it holds a few blocks of points at any grid size
+and gives the bits of one call on the whole grid.  seam_bound is the same
 functional's sup over the seam |z| = 1, the bound each theorem's extension
 and Loewner chain claim; exterior_lead checks the normalization at infinity
 that the exterior theorems assume.
@@ -27,14 +30,16 @@ from .errors import PreconditionError
 from .grids import (
     R_DISC,
     GridSpec,
-    disc_grid,
-    exterior_grid,
+    disc_chunks,
+    exterior_chunks,
     seam_circle,
     seam_sup,
+    side_blocks,
 )
 from .mapexpr import (
     TAU_JET,
     TAU_NORMALIZED,
+    TAU_SERIES_CONST,
     Const,
     Div,
     MapExpr,
@@ -145,6 +150,14 @@ def phi_from_map(f: MapExpr) -> MapExpr:
     # meets a zero denominator; verify the second-order vanishing through
     # the shifted series instead
     jf = taylor_jet(f, 3)
+    # series_inv would read f'(0) = 1 as a zero constant term against
+    # coefficients this large; say so before the series is formed
+    scale = max(abs(c) for c in jf[1:])
+    if abs(jf[1]) <= TAU_SERIES_CONST * scale:
+        raise PreconditionError(
+            f"Taylor coefficients up to {scale:.3g} swamp f'(0)=1, so z/f "
+            "has no usable series at 0"
+        )
     zf = series_inv(np.array(jf[1:], dtype=complex))
     phi0 = zf[0] - 1.0
     phi1 = zf[1] + a2
@@ -253,7 +266,9 @@ def check_class(
 
     Disc criteria reject maps with an unexcluded pole inside the sampled
     disc; the meromorphic-class criterion excludes a fixed neighborhood of
-    the declared pole instead.
+    the declared pole instead.  The worst value is the first occurrence of
+    the largest in grid order; NaN samples count as inf, and excluded ones
+    are not counted in n_samples.
     """
     params = params or ClassParams()
     grid = grid or GridSpec()
@@ -262,7 +277,6 @@ def check_class(
 
     exterior = which in ("M_Ug", "M_corollary1", "M_krzyz_decay")
     bound = params.lam if which in ("U_lambda", "V_p_lambda") else params.k
-    Z = exterior_grid(grid) if exterior else disc_grid(grid)
     if not exterior and which != "V_p_lambda":
         poles = poles_in_disc(m, R_DISC)
         if poles:
@@ -272,17 +286,20 @@ def check_class(
                 else f" for criterion {which}"
             )
             raise PreconditionError(f"pole at {poles[0]} inside the disc grid{hint}")
-    vals = criterion_field(m, which, Z, params)
-    vals = np.where(np.isfinite(vals), vals, np.inf)
-    if which == "V_p_lambda":
-        vals = np.where(np.abs(Z - params.p) < POLE_EXCLUSION, -np.inf, vals)
-    chart_val = _chart_value(m, which) if exterior else None
 
-    i = int(np.argmax(vals))
-    worst_value = float(vals[i])
-    worst_point: ExtComplex = complex(Z[i])
-    n = int(np.sum(np.isfinite(vals) | (vals == np.inf)))
-    if chart_val is not None:
+    # first occurrence of the largest value over the blocks, in grid order
+    worst_value, worst_point, n = -math.inf, None, 0
+    for Z in side_blocks(exterior_chunks(grid) if exterior else disc_chunks(grid)):
+        vals = criterion_field(m, which, Z, params)
+        vals = np.where(np.isfinite(vals), vals, np.inf)
+        if which == "V_p_lambda":
+            vals = np.where(np.abs(Z - params.p) < POLE_EXCLUSION, -np.inf, vals)
+        i = int(np.argmax(vals))
+        if worst_point is None or vals[i] > worst_value:
+            worst_value, worst_point = float(vals[i]), complex(Z[i])
+        n += int(np.sum(np.isfinite(vals) | (vals == np.inf)))
+    if exterior:
+        chart_val = _chart_value(m, which)
         n += 1
         if chart_val > worst_value:
             worst_value = float(chart_val)

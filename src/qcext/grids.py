@@ -5,15 +5,24 @@ Every grid is one ``polar`` product returned flat, radius-major: point
 j * n_theta + k is radius j at angle k.  Criteria over open regions approach
 the boundary without touching it: disc radii stop at ``R_DISC`` = 0.999,
 exterior radii start at ``R_EXT_LO`` = 1.001.  The dilatation field samples
-``field_points``: the disc side then the exterior side, each kept
+``field_chunks``: the disc side then the exterior side, each kept
 ``SEAM_MARGIN`` off the circle.  When a supremum is taken over a grid, ties
 resolve to the first point in that order, so sweeps are deterministic.
+
+The verify sweeps never hold a whole grid.  ``disc_chunks``,
+``exterior_chunks`` and ``field_chunks`` yield their points in grid order as
+chunks of whole rings, at most ``BLOCK_POINTS`` points each, and
+``side_blocks`` re-cuts any such stream into the evaluation blocks that keep
+the bits of one call per side.  A sweep then holds one chunk, under three
+blocks of pending points and the temporaries of one block: a few MiB at any
+grid size, as long as one ring holds at most ``BLOCK_POINTS`` points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,39 +103,57 @@ def _angles(n_theta: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
 
 
+def _rays(n_theta: int) -> np.ndarray:
+    return np.exp(1j * _angles(n_theta))
+
+
+def _disc_radii(spec: GridSpec, r_max: float) -> np.ndarray:
+    return (np.arange(1, spec.n_r + 1) / spec.n_r) * r_max
+
+
 def polar(radii: np.ndarray, rays: np.ndarray) -> np.ndarray:
     """The points r * u for r in radii and u in rays, flat and radius-major."""
     return (radii[:, None] * rays[None, :]).ravel()
 
 
+def polar_chunks(radii: np.ndarray, rays: np.ndarray) -> Iterator[np.ndarray]:
+    """polar(radii, rays) as consecutive chunks of whole rings, each the
+    polar product of a slice of radii and at most BLOCK_POINTS points unless
+    one ring holds more; every point has the bits it has in polar."""
+    step = max(1, BLOCK_POINTS // rays.size)
+    for j in range(0, radii.size, step):
+        yield polar(radii[j : j + step], rays)
+
+
 def disc_grid(spec: GridSpec, r_max: float = R_DISC) -> np.ndarray:
     """Points r_j e^{i theta_k} with r_j = j/n_r * r_max, j = 1..n_r."""
-    radii = (np.arange(1, spec.n_r + 1) / spec.n_r) * r_max
-    return polar(radii, np.exp(1j * _angles(spec.n_theta)))
+    return polar(_disc_radii(spec, r_max), _rays(spec.n_theta))
 
 
-def exterior_grid(spec: GridSpec) -> np.ndarray:
-    """Exterior points on geometrically spaced radii in [R_EXT_LO, R_EXT_HI].
+def disc_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
+    """disc_grid(spec) in the chunks of polar_chunks."""
+    return polar_chunks(_disc_radii(spec, R_DISC), _rays(spec.n_theta))
+
+
+def exterior_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
+    """Exterior points on geometrically spaced radii in [R_EXT_LO, R_EXT_HI],
+    in the chunks of polar_chunks.
 
     Geometric spacing concentrates samples near the seam, where the
     exterior functionals peak.  The chart point at infinity is handled
     separately by callers (it has no finite coordinates).
     """
     radii = np.geomspace(R_EXT_LO, R_EXT_HI, spec.n_r)
-    return polar(radii, np.exp(1j * _angles(spec.n_theta)))
+    return polar_chunks(radii, _rays(spec.n_theta))
 
 
-def field_points(spec: GridSpec) -> np.ndarray:
-    """The dilatation field's 2 * n_r * n_theta points: n_r radii evenly in
-    [0.05, 1 - SEAM_MARGIN], then n_r in [1 + SEAM_MARGIN, CHART_RADIUS], each
-    on seam_circle(n_theta)."""
+def field_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
+    """The dilatation field's 2 * n_r * n_theta points in the chunks of
+    polar_chunks: n_r radii evenly in [0.05, 1 - SEAM_MARGIN], then n_r in
+    [1 + SEAM_MARGIN, CHART_RADIUS], each on seam_circle(n_theta)."""
     rays = seam_circle(spec.n_theta)
-    return np.concatenate(
-        [
-            polar(np.linspace(0.05, 1.0 - SEAM_MARGIN, spec.n_r), rays),
-            polar(np.linspace(1.0 + SEAM_MARGIN, CHART_RADIUS, spec.n_r), rays),
-        ]
-    )
+    yield from polar_chunks(np.linspace(0.05, 1.0 - SEAM_MARGIN, spec.n_r), rays)
+    yield from polar_chunks(np.linspace(1.0 + SEAM_MARGIN, CHART_RADIUS, spec.n_r), rays)
 
 
 def seam_circle(n: int = N_SEAM) -> np.ndarray:
@@ -163,3 +190,40 @@ def blocks(lo: int, hi: int) -> list[tuple[int, int]]:
     q, r = divmod(hi - lo, n)
     edges = [lo + i * q + min(i, r) for i in range(n + 1)]
     return list(zip(edges[:-1], edges[1:]))
+
+
+def side_blocks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The points of a stream of flat chunks, in order, re-cut into
+    evaluation blocks: each run of points on one side of |z| = 1 is cut into
+    blocks of exactly BLOCK_POINTS points, the remainder folded into the
+    last, so no block crosses the seam, every block holds at least
+    BLOCK_POINTS points unless its whole run is shorter, and a run gives as
+    many blocks as blocks() cuts it into.  Runs may span chunks; between
+    blocks, fewer than 2 * BLOCK_POINTS points plus one chunk are held.  A
+    single array passed as [Z] is cut into views of Z, without a copy."""
+    pending: list[np.ndarray] = []
+    held, side = 0, None
+    for chunk in chunks:
+        if not chunk.size:
+            continue
+        inside = np.abs(chunk) < 1.0
+        cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), chunk.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if held and inside[lo] != side:
+                yield _joined(pending)
+                pending, held = [], 0
+            side = inside[lo]
+            pending.append(chunk[lo:hi])
+            held += hi - lo
+            if held >= 2 * BLOCK_POINTS:
+                run = _joined(pending)
+                while run.size >= 2 * BLOCK_POINTS:
+                    yield run[:BLOCK_POINTS]
+                    run = run[BLOCK_POINTS:]
+                pending, held = [run], run.size
+    if held:
+        yield _joined(pending)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

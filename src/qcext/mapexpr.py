@@ -64,7 +64,8 @@ TAU_REMOVABLE = 1e-9
 TAU_POLE_MARGIN = 1e-9
 # _trim: trailing coefficients at most this times the scale are dropped
 TAU_TRIM = 1e-14
-# series_inv: a constant term at most this times the scale counts as zero
+# series_inv: a constant term at most this times the scale counts as zero;
+# classifiers.phi_from_map refuses such a jet before inverting it
 TAU_SERIES_CONST = 1e-13
 # eval_map: a denominator at most this times the numerator is a pole
 TAU_POLE = 1e-12

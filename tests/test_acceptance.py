@@ -33,8 +33,8 @@ from qcext.grids import (
     SEAM_MARGIN,
     GridSpec,
     disc_grid,
-    exterior_grid,
-    field_points,
+    exterior_chunks,
+    field_chunks,
     polar,
     seam_circle,
 )
@@ -137,7 +137,7 @@ def test_criterion_1_dilatation_bounds():
 
 def test_criterion_2_becker_cross_check():
     with criterion(2, "chain extension equals closed form to 1e-10 (64x64)"):
-        Z = exterior_grid(GridSpec(64, 64))
+        Z = np.concatenate(list(exterior_chunks(GridSpec(64, 64))))
 
         pairs_direct = [
             ("thm2", becker_extend(build_chain("thm2_eq3", EX2)), ext_thm2(EX2)),
@@ -229,7 +229,7 @@ def test_criterion_5_identity_chains():
             assert spec.claimed_k <= 1e-12, kind
             assert check_dk(spec) <= 1e-9, kind
             em = becker_extend(spec)
-            field = beltrami_field(em, field_points(GridSpec(64, 64)))
+            field = beltrami_field(em, field_chunks(GridSpec(64, 64)))
             assert field.sup_mu <= 1e-9, (kind, field.sup_mu)
 
 

@@ -33,7 +33,7 @@ from qcext.grids import (
     MAX_GRID_POINTS,
     SEAM_MARGIN,
     GridSpec,
-    field_points,
+    field_chunks,
     polar,
     seam_circle,
 )
@@ -52,6 +52,10 @@ def _disc(n_r, n_theta, lo=0.05, hi=1.0 - SEAM_MARGIN):
 
 def _exterior(n_r, n_theta, lo=1.0 + SEAM_MARGIN, hi=CHART_RADIUS):
     return polar(np.linspace(lo, hi, n_r), seam_circle(n_theta))
+
+
+def _field_points(spec):
+    return np.concatenate(list(field_chunks(spec)))
 
 
 def _pointwise(em, points):
@@ -113,7 +117,7 @@ def test_grid_rejects_budget_blowout():
 
 
 def test_grid_points_avoid_seam():
-    r_both = np.abs(field_points(GridSpec(8, 8)))
+    r_both = np.abs(_field_points(GridSpec(8, 8)))
     r_in, r_out = r_both[:64], r_both[64:]
     assert r_in.max() <= 1.0 - 1e-4 + 1e-15
     assert r_out.min() >= 1.0 + 1e-4 - 1e-15
@@ -143,7 +147,7 @@ def test_zones_that_hold_no_point_leave_the_points_uncopied():
 
 def test_identity_field_is_flat():
     em = ext_huang_owa(IDENTITY)
-    points = field_points(GridSpec(24, 24))
+    points = _field_points(GridSpec(24, 24))
     field = beltrami_field(em, points)
     assert field.sup_mu <= 1e-9
     assert field.degenerate_count == 0
@@ -157,7 +161,7 @@ def test_krzyz_field_constant_half():
     assert np.max(np.abs(np.abs(mu) - 0.5)) < 1e-6
     outer = beltrami_field(em, _exterior(24, 24))
     assert outer.sup_mu < 1e-6
-    assert abs(beltrami_field(em, field_points(GridSpec())).sup_mu - 0.5) < 1e-6
+    assert abs(beltrami_field(em, field_chunks(GridSpec())).sup_mu - 0.5) < 1e-6
 
 
 def test_radial_field_matches_profile_law():
@@ -213,8 +217,9 @@ def _whole_side_field(em, points):
     ids=["mobius_convex", "example3", "example2"],
 )
 def test_blocked_field_is_bit_identical_to_whole_sides(em):
-    points = field_points(GridSpec(400, 400))
+    points = _field_points(GridSpec(400, 400))
     field = beltrami_field(em, points)
+    assert beltrami_field(em, field_chunks(GridSpec(400, 400))) == field
     kept = _apply_zones(points, _exclusion_zones(em))
     sup, arg, jac_min, n_deg = _whole_side_field(em, kept)
     assert field.sup_mu == sup and field.argmax_point == arg
@@ -252,7 +257,7 @@ def test_chart_field_when_infinity_moves():
     ids=["thm2", "mobius", "krzyz", "radial"],
 )
 def test_certify_corpus_extension_passes(em):
-    verdict = certify_qc(em, field_points(GridSpec(48, 48)))
+    verdict = certify_qc(em, field_chunks(GridSpec(48, 48)))
     assert verdict.passed
     assert verdict.mu_ok and verdict.orientation_ok and verdict.seam_ok
     assert verdict.sup_mu <= verdict.claimed_k + TAU_MU
@@ -282,7 +287,7 @@ def test_certify_flags_injected_seam_fault():
     )
     sup_abs, _ = seam_gap(fault)
     assert abs(sup_abs - 0.1) < 1e-6
-    verdict = certify_qc(fault, field_points(GridSpec(16, 16)))
+    verdict = certify_qc(fault, field_chunks(GridSpec(16, 16)))
     assert not verdict.seam_ok and not verdict.passed
     assert verdict.mu_ok  # the shift leaves derivatives alone
 
@@ -290,7 +295,7 @@ def test_certify_flags_injected_seam_fault():
 def test_verdict_summary_shape():
     # run_verify stores the verdict's fields as the report's beltrami section
     em = ext_mobius_convex(parse_map("z/(1-0.5*z)"))
-    s = asdict(certify_qc(em, field_points(GridSpec(16, 16))))
+    s = asdict(certify_qc(em, field_chunks(GridSpec(16, 16))))
     assert s["passed"] is True
     for key in ("sup_mu", "claimed_k", "jacobian_min", "seam_sup_chordal", "n_points"):
         assert key in s

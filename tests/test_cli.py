@@ -212,6 +212,21 @@ def test_a_coefficient_scale_that_overflows_zeroes_no_dust(capsys):
     )
 
 
+@pytest.mark.parametrize("theorem", ["t1", "t3"])
+def test_a_jet_that_swamps_f_prime_exits_two_before_the_series(theorem, capsys):
+    # series_inv would read f'(0) = 1 against a2 = 1e200 as a zero constant
+    # term of z/f and fail with exit 3; phi_from_map refuses the map first
+    argv = ["verify", "--map", "z+1e200*z^2", "--theorem", theorem, "--grid", "16x16"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "qcext: Taylor coefficients up to 1e+200 swamp f'(0)=1, so z/f has "
+        "no usable series at 0\n"
+    )
+
+
 def test_indeterminate_map_at_zero_is_a_numerical_failure(capsys):
     # ext_thm5 reads z/z at 0, where its normal form is 0/0
     code = main(["verify", "--map", "z/z", "--theorem", "t5", "--grid", "8x8"])

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from qcext.corpus import BUILTINS, class_params_for
+from qcext.corpus import BUILTINS, builtin_ids, class_params_for
 from qcext.errors import PreconditionError
 from qcext.report import (
     build_extension,
@@ -200,6 +201,21 @@ def test_chain_reports_the_a1_window_of_its_own_tmax(tmax, window):
     # the a1 zero of this cor1 chain sits near t = 0.35
     report, _ = run_chain(map_text="z+0.1/z", chain="cor1", tmax=tmax, no_timestamp=True)
     assert report.loewner.get("a1_zero_window") == window
+
+
+@pytest.mark.parametrize("bid", builtin_ids())
+def test_verify_memory_peak(bid):
+    # both sweeps stream their grids in blocks; holding the whole 800x800
+    # grid and its filtered copies, this verify peaked at 39-59 MiB
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tracemalloc.start()
+        try:
+            run_verify(builtin=bid, grid="800x800", no_timestamp=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_chain_flag_validation():

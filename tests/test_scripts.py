@@ -4,7 +4,9 @@ scripts/oracle_koebe_threshold.py froze KOEBE_REFLECTED_SUP, and
 scripts/render_gallery.py froze GOLDEN_IDENTITY_GRID and GOLDEN_KOEBE_DOMAIN
 (tests/test_acceptance.py).  Rerunning them must reprint those values, so
 each runs here as README runs it: a subprocess from the repository root with
-src on PYTHONPATH.
+src on PYTHONPATH.  scripts/ledger.py printed tests/ledger.txt; it runs in
+this process, which has already imported numpy and qcext, to keep the test
+short.
 """
 
 import importlib.util
@@ -16,12 +18,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _acceptance():
-    path = ROOT / "tests" / "test_acceptance.py"
-    spec = importlib.util.spec_from_file_location("qcext_acceptance_goldens", path)
+def _load(relpath):
+    spec = importlib.util.spec_from_file_location(f"qcext_{Path(relpath).stem}", ROOT / relpath)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _acceptance():
+    return _load("tests/test_acceptance.py")
 
 
 def _run_script(*args):
@@ -49,3 +54,13 @@ def test_gallery_reprints_the_image_goldens(tmp_path):
     goldens = _acceptance()
     assert digests["identity", "grid"] == goldens.GOLDEN_IDENTITY_GRID
     assert digests["koebe", "domaincolor"] == goldens.GOLDEN_KOEBE_DOMAIN
+
+
+def test_ledger_reprints_byte_for_byte(capsys):
+    assert _load("scripts/ledger.py").main() == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "ledger.txt").read_text(encoding="utf-8")
+
+
+def test_ledger_covers_the_frozen_chain_cases():
+    cases = _load("scripts/ledger.py").chain_cases()
+    assert sorted(cases) == sorted(_load("tests/test_report.py").CHAIN_GRID_TMAX_DIGESTS)
