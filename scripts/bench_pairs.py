@@ -16,10 +16,11 @@ summary also holds the relative change of the medians, whether the metric
 moved the wrong way by more than its BENCHMARK.json ``bound``
 (``beyond_bound``), and whether the gap between the medians exceeds the
 parent's quartile spread (``beyond_spread``).  Once the table is written, the
-script prints both sides' ``src/`` line counts and one line for each workload
-and metric beyond its bound, then exits 1 and names each run (workload, seed,
-side) that had a failed op or was not correct, since its numbers time the
-wrong work.
+script prints both sides' ``src/`` line counts, one summary line for each
+workload and metric (both medians, the relative change, the pairs the change
+won and ``beyond_spread``), and one more line for each metric beyond its
+bound, then exits 1 and names each run (workload, seed, side) that had a
+failed op or was not correct, since its numbers time the wrong work.
 
 Run from the root of a source checkout:
 
@@ -171,6 +172,11 @@ def main(argv=None) -> int:
     )
     for workload, entry in table["workloads"].items():
         for name, m in entry["summary"].items():
+            print(
+                f"{workload} {name}: parent {m['parent']['median']:g} -> change "
+                f"{m['change']['median']:g} ({m['relative_change']:+.1%}), change won "
+                f"{m['change_wins']} of {m['pairs']} pairs, beyond_spread {m['beyond_spread']}"
+            )
             if m["beyond_bound"]:
                 print(
                     f"beyond bound: {workload} {name} {m['parent']['median']:g} -> "

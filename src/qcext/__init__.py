@@ -33,6 +33,7 @@ from .beltrami import (
     wirtinger,
 )
 from .corpus import BUILTINS, BuiltinExample, builtin_ids, get_builtin
+from .render import ppm_bytes
 from .report import VerificationReport, run_chain, run_verify
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
     "BuiltinExample",
     "builtin_ids",
     "get_builtin",
+    "ppm_bytes",
     "VerificationReport",
     "run_chain",
     "run_verify",

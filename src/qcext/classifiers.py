@@ -133,6 +133,19 @@ def u_field(f: MapExpr, Z: np.ndarray) -> np.ndarray:
     return eval_array(u_expr(f), Z)
 
 
+def usable_jet(f: MapExpr, consequence: str) -> tuple[complex, ...]:
+    """The jet (c0, ..., c3) of f at 0, refused when rounding at TAU_SERIES_CONST
+    times the largest of c1, c2, c3 swamps a nonzero f'(0)."""
+    jf = taylor_jet(f, 3)
+    scale = max(abs(c) for c in jf[1:])
+    if 0 < abs(jf[1]) <= TAU_SERIES_CONST * scale:
+        raise PreconditionError(
+            f"Taylor coefficients up to {scale:.3g} swamp f'(0)={const_text(jf[1])}, "
+            f"so {consequence}"
+        )
+    return jf
+
+
 def phi_from_map(f: MapExpr) -> MapExpr:
     """phi(z) = z/f(z) + a2*z - 1 for normalized f.
 
@@ -147,17 +160,9 @@ def phi_from_map(f: MapExpr) -> MapExpr:
     a2 = jet[2]
     phi = parse_map(f"z/{print_expr(f.root)}+{const_text(a2)}*z-1")
     # phi's normal form does not cancel the z/f quotient, so its jet at 0
-    # meets a zero denominator; verify the second-order vanishing through
-    # the shifted series instead
-    jf = taylor_jet(f, 3)
-    # series_inv would read f'(0) = 1 as a zero constant term against
-    # coefficients this large; say so before the series is formed
-    scale = max(abs(c) for c in jf[1:])
-    if abs(jf[1]) <= TAU_SERIES_CONST * scale:
-        raise PreconditionError(
-            f"Taylor coefficients up to {scale:.3g} swamp f'(0)=1, so z/f "
-            "has no usable series at 0"
-        )
+    # meets a zero denominator; verify the second-order vanishing through the
+    # shifted series instead, refused before series_inv if f'(0) is swamped
+    jf = usable_jet(f, "z/f has no usable series at 0")
     zf = series_inv(np.array(jf[1:], dtype=complex))
     phi0 = zf[0] - 1.0
     phi1 = zf[1] + a2
@@ -173,6 +178,9 @@ def phi_from_map(f: MapExpr) -> MapExpr:
 def _chart_value(g: MapExpr, which: str) -> float:
     """The criterion functional evaluated at the point at infinity."""
     if which == "M_Ug":
+        # as below, no chart value off a simple pole (U_g's form can overflow)
+        if laurent_at_infinity(g, 0)[0] != 1:
+            return math.inf
         v = eval_map(u_expr(g), INFINITY)
         return math.inf if is_infinity(v) else abs(v)
     if which == "M_corollary1":

@@ -9,6 +9,7 @@ this file is flag plumbing and exit-code policy only.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -58,6 +59,8 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+# parse_args leaves the parser as it found it, so one serves every call
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qcext",
@@ -114,10 +117,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 _emit(report, args)
                 if args.image:
-                    write_ppm(
-                        args.image,
-                        render_map(report.extended_map.evaluate_array, args.style),
-                    )
+                    rgb = render_map(report.extended_map.evaluate_array, args.style)
+                    write_ppm(args.image, rgb)
                 return code
             if args.command == "chain":
                 report, code = run_chain(

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .classifiers import ClassParams, exterior_lead, phi_from_map, seam_bound
+from .classifiers import ClassParams, exterior_lead, phi_from_map, seam_bound, usable_jet
 from .corpus import THEOREMS
 from .errors import PreconditionError
 from .grids import blocks, seam_circle, seam_sup
@@ -366,6 +366,7 @@ def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
         raise PreconditionError("lambda must be nonzero")
     if is_infinity(eval_map(f, 0j)):
         raise PreconditionError("map must be finite at 0")
+    usable_jet(f, "f has no usable derivative at 0")
 
     def outer(Z):
         W = 1.0 / np.conj(Z)
@@ -383,6 +384,7 @@ def ext_thm5(f: MapExpr) -> ExtendedMap:
     """
     if is_infinity(eval_map(f, 0j)):
         raise PreconditionError("map must be finite at 0")
+    usable_jet(f, "f has no usable derivative at 0")
 
     def outer(Z):
         W = 1.0 / np.conj(Z)

@@ -482,13 +482,16 @@ def _ppow(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=512)
 def rational_form(m: MapExpr) -> tuple[np.ndarray, np.ndarray]:
     """The map as a ratio P(z)/Q(z) of polynomials, ascending coefficients.
 
     Exact in the polynomial algebra up to float rounding; no common-factor
-    cancellation is attempted.
+    cancellation is attempted.  Cached per map, so both arrays are read-only.
     """
-    return _rational(m.root)
+    P, Q = _rational(m.root)
+    P.flags.writeable = Q.flags.writeable = False
+    return P, Q
 
 
 def shifted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -35,13 +36,8 @@ EXIT_SINGULAR = 3
 
 
 def _num(x: float) -> str:
-    if x != x:
-        return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return format(float(x), ".17g")
+    # nan, inf and -inf are quoted
+    return format(float(x), ".17g") if math.isfinite(x) else f'"{float(x)}"'
 
 
 def dump_json(obj) -> str:
@@ -51,10 +47,8 @@ def dump_json(obj) -> str:
         return "null"
     if obj is INFINITY:
         return '"infinity"'
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

@@ -1,6 +1,6 @@
-"""scripts/bench_pairs.py refuses a pair table that holds a bad run, flags
-each metric that moved the wrong way by more than its bound, and records
-each side's src/ line count."""
+"""scripts/bench_pairs.py refuses a pair table that holds a bad run, prints a
+summary line for each workload and metric, flags each metric that moved the
+wrong way by more than its bound, and records each side's src/ line count."""
 
 import importlib.util
 import json
@@ -103,7 +103,26 @@ def test_pair_table_flags_metrics_beyond_their_bound(tmp_path, monkeypatch, caps
     assert rss["relative_change"] == pytest.approx(0.04)
     assert not rss["beyond_bound"] and rss["beyond_spread"]
     assert not summary["verify_fine"]["setup_s"]["beyond_spread"]
-    flagged = [line for line in capsys.readouterr().out.splitlines() if line.startswith("beyond bound:")]
+    out = capsys.readouterr().out.splitlines()
+    flagged = [line for line in out if line.startswith("beyond bound:")]
     assert len(flagged) == 1
+    # one summary line per workload and metric, in table order
+    names = ("latency_ms.p50", "latency_ms.p90", "maps_per_s", "peak_rss_mb", "setup_s")
+    summaries = [line for line in out if " won " in line]
+    assert [line.split(":")[0] for line in summaries] == [
+        f"{w} {n}" for w in ("verify_fine", "chain", "cli_sweep") for n in names
+    ]
+    assert (
+        "chain latency_ms.p50: parent 0.1 -> change 0.07 (-30.0%), change won 10 of 10 "
+        "pairs, beyond_spread True"
+    ) in summaries
+    assert (
+        "verify_fine setup_s: parent 0.1 -> change 0.1 (+0.0%), change won 0 of 10 "
+        "pairs, beyond_spread False"
+    ) in summaries
+    assert (
+        "cli_sweep setup_s: parent 0.1 -> change 0.127 (+27.0%), change won 0 of 10 "
+        "pairs, beyond_spread True"
+    ) in summaries
     assert flagged[0].startswith("beyond bound: cli_sweep setup_s 0.1 -> 0.127 ")
     assert flagged[0].endswith(" (+27.0%, bound 0.25, lower is better)")

@@ -205,6 +205,16 @@ def test_class_m_ug_exterior_map():
     assert not fails.holds
 
 
+@pytest.mark.parametrize("text", ["z+1e200*z^2", "z^2+z", "2+1/z"])
+def test_class_m_ug_reads_no_chart_value_off_a_simple_pole(text):
+    # as M_corollary1 and M_krzyz_decay do; z+1e200*z^2 used to raise
+    # "denominator is identically zero" from U_g's overflowed normal form;
+    # 2+1/z, finite at infinity, has no pole there at all
+    v = check_class(parse_map(text), "M_Ug", ClassParams(k=0.5), GridSpec(8, 8))
+    assert v.worst_value == float("inf") and v.worst_point is INFINITY
+    assert not v.holds
+
+
 def test_class_corollary_functional():
     v = check_class(G_INV, "M_corollary1", ClassParams(k=0.6))
     assert v.holds

@@ -227,6 +227,50 @@ def test_a_jet_that_swamps_f_prime_exits_two_before_the_series(theorem, capsys):
     )
 
 
+# the one-line reason z+1e200*z^2 gets under each theorem
+SWAMPED_MAP_REASONS = {
+    "t1": "Taylor coefficients up to 1e+200 swamp f'(0)=1, so z/f has no usable series at 0",
+    "t2": "second coefficient must vanish for this extension, got (1e+200+0j)",
+    "t3": "Taylor coefficients up to 1e+200 swamp f'(0)=1, so z/f has no usable series at 0",
+    # the class sweep reads no chart value off a simple pole at infinity,
+    # and the builder refuses the map
+    "t4": "exterior map needs a simple pole at infinity",
+    "cor1": "exterior map needs a simple pole at infinity",
+    "brown": "Taylor coefficients up to 1e+200 swamp f'(0)=1, so f has no usable derivative at 0",
+    "t5": "Taylor coefficients up to 1e+200 swamp f'(0)=1, so f has no usable derivative at 0",
+    "krzyz": "exterior map needs a simple pole at infinity",
+    "convex": "this case applies only when the small functional vanishes identically "
+    "(a disc automorphism denominator)",
+    "psi": "this case applies only when the small functional vanishes identically "
+    "(a disc automorphism denominator)",
+}
+
+
+def test_swamped_map_reasons_cover_every_theorem():
+    assert sorted(SWAMPED_MAP_REASONS) == sorted(THEOREMS)
+
+
+@pytest.mark.parametrize("theorem", sorted(SWAMPED_MAP_REASONS))
+def test_a_swamped_map_exits_two_with_one_line_under_every_theorem(theorem, capsys):
+    # t4 read "denominator is identically zero" off U_g's overflowed normal
+    # form, and brown and t5 found no usable F_z in the chart at infinity;
+    # both exited 3
+    argv = ["verify", "--map", "z+1e200*z^2", "--theorem", theorem, "--grid", "16x16"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"qcext: {SWAMPED_MAP_REASONS[theorem]}\n"
+
+
+@pytest.mark.parametrize("theorem", ["brown", "t5"])
+def test_an_exact_zero_derivative_at_zero_is_not_swamped(theorem, capsys):
+    # f'(0) = 0 is no rounding artefact: z^2 still gets its failing report
+    argv = ["verify", "--map", "z^2", "--theorem", theorem, "--grid", "16x16"]
+    assert main(argv + ["--no-timestamp"]) == 1
+    assert json.loads(capsys.readouterr().out)["overall"] is False
+
+
 def test_indeterminate_map_at_zero_is_a_numerical_failure(capsys):
     # ext_thm5 reads z/z at 0, where its normal form is 0/0
     code = main(["verify", "--map", "z/z", "--theorem", "t5", "--grid", "8x8"])
@@ -450,6 +494,34 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["overall"] is True
+
+
+def _fresh_run(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcext", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_one_parser_serves_every_call_without_leaking_state(capsys):
+    # build_parser runs once per process; a --param or an argparse error in
+    # one main() call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    plain = ["verify", "--builtin", "example2", "--grid", "12x12", "--no-timestamp"]
+    with_param = plain + ["--param", "lambda=0.25"]
+    assert main(with_param) == 0
+    param_out = capsys.readouterr().out
+    assert main(plain) == 0
+    plain_out = capsys.readouterr().out
+    assert plain_out != param_out
+    assert _fresh_run(plain) == (0, plain_out)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--builtin", "example2", "--grid"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(with_param) == 0
+    assert capsys.readouterr().out == param_out
+    assert _fresh_run(with_param) == (0, param_out)
 
 
 def test_unknown_builtin_is_a_usage_error():

@@ -347,6 +347,21 @@ def test_rational_form_collects():
     assert abs(val - 1 / 0.7) < 1e-14
 
 
+def test_rational_form_is_cached_per_map_and_read_only():
+    # equal trees share one entry, so no caller may write into the arrays
+    P, Q = rational_form(parse_map("z/(1-0.5*z)^2"))
+    again = rational_form(parse_map("z/(1-0.5*z)^2"))
+    assert again[0] is P and again[1] is Q
+    for a in (P, Q):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # a failing form is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(EvalError):
+            rational_form(parse_map("1/(z-z)"))
+
+
 def test_laurent_at_infinity_of_g():
     # g = z + 0.12/z: top degree 1, coefficients 1, 0, 0.12
     k, c = laurent_at_infinity(parse_map("z+0.12/z"), 4)
