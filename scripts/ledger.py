@@ -8,8 +8,11 @@ and complex numbers, with "infinity" for the point at infinity), as
 
 and the lines of all inputs are printed sorted.  The inputs are the 13
 builtins under verify at 96x96 and at 400x400 (where each side of the
-field exceeds grids.BLOCK_POINTS), the 7 builtin chains at the default grid
-and horizon, and the chains at 16x16 and 32x32 up to tmax 0.2 and 2.
+field exceeds grids.BLOCK_POINTS), the five builtins with finite special
+points under verify at 128x128 and 64x256 (where the exclusion holes keep
+16,376-16,382 of a side's 16,384 points), the 7 builtin chains at the
+default grid and horizon, and the chains at 16x16 and 32x32 up to tmax 0.2
+and 2.
 Reports run with no timestamp, so the wall times read 0.
 
 tests/ledger.txt holds this output, and tier-1 reprints it byte for byte.
@@ -29,6 +32,8 @@ from qcext.report import run_chain, run_verify
 from qcext.sphere import INFINITY
 
 VERIFY_GRIDS = ("96x96", "400x400")
+HOLED_BUILTINS = ("p_mobius", "example1", "example3", "koebe", "kp")
+HOLED_GRIDS = ("128x128", "64x256")
 CHAIN_GRIDS = ("16x16", "32x32")
 CHAIN_HORIZONS = (0.2, 2.0)
 
@@ -60,10 +65,11 @@ def _lines(name, report, code):
 
 def ledger():
     lines = []
-    for grid in VERIFY_GRIDS:
-        for b in builtin_ids():
-            report, code = run_verify(builtin=b, grid=grid, no_timestamp=True)
-            lines += _lines(f"verify/{b}/{grid}", report, code)
+    verify_cases = [(b, g) for g in VERIFY_GRIDS for b in builtin_ids()]
+    verify_cases += [(b, g) for g in HOLED_GRIDS for b in HOLED_BUILTINS]
+    for b, grid in verify_cases:
+        report, code = run_verify(builtin=b, grid=grid, no_timestamp=True)
+        lines += _lines(f"verify/{b}/{grid}", report, code)
     for b in builtin_ids():
         if get_builtin(b).chain:
             report, code = run_chain(builtin=b, no_timestamp=True)
