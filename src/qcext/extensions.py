@@ -359,14 +359,23 @@ def ext_radial_psi(f: MapExpr, profile: RadialProfile, p: Optional[complex] = No
     )
 
 
+def _require_reflectable(f: MapExpr) -> None:
+    """Refuse a disc map that is infinite at 0, has a swamped f'(0), or is
+    constant: the numerator of f' is then identically zero, even when f's
+    own normal form, as in (z+1)/(z+1), is not reduced."""
+    if is_infinity(eval_map(f, 0j)):
+        raise PreconditionError("map must be finite at 0")
+    if not np.any(rational_form(derive(f))[0]):
+        raise PreconditionError("map is constant, so it has no extension")
+    usable_jet(f, "f has no usable derivative at 0")
+
+
 def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
     """Extend by f(1/z-bar) + (z - 1/z-bar)/lambda; bound sup |lambda f' - 1|."""
     lam = complex(brown_lambda)
     if lam == 0:
         raise PreconditionError("lambda must be nonzero")
-    if is_infinity(eval_map(f, 0j)):
-        raise PreconditionError("map must be finite at 0")
-    usable_jet(f, "f has no usable derivative at 0")
+    _require_reflectable(f)
 
     def outer(Z):
         W = 1.0 / np.conj(Z)
@@ -382,9 +391,7 @@ def ext_thm5(f: MapExpr) -> ExtendedMap:
     Maps under this hypothesis have f'(0) near -1, so no normalization jet is
     demanded here.
     """
-    if is_infinity(eval_map(f, 0j)):
-        raise PreconditionError("map must be finite at 0")
-    usable_jet(f, "f has no usable derivative at 0")
+    _require_reflectable(f)
 
     def outer(Z):
         W = 1.0 / np.conj(Z)

@@ -616,11 +616,8 @@ def _fmul(a: Node, b: Node) -> Node:
 
 
 def _fdiv(a: Node, b: Node) -> Node:
-    if _is_const(a, 0):
-        return _ZERO
-    if _is_const(b, 1):
-        return a
-    return Div(a, b)
+    # b is always a square Pow, never the constant 1
+    return _ZERO if _is_const(a, 0) else Div(a, b)
 
 
 def _fpow(base: Node, n: int) -> Node:

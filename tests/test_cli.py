@@ -271,6 +271,50 @@ def test_an_exact_zero_derivative_at_zero_is_not_swamped(theorem, capsys):
     assert json.loads(capsys.readouterr().out)["overall"] is False
 
 
+@pytest.mark.parametrize("theorem", ["brown", "t5"])
+@pytest.mark.parametrize(
+    "text", ["1", "0*z", "2+0*z", "z-z", "(z+1)/(z+1)", "(0.1*z+0.3)/(0.2*z+0.6)"]
+)
+def test_a_constant_map_exits_two_with_one_line(text, theorem, capsys):
+    # the stencil found no usable F_z on the disc side of a constant map,
+    # and these exited 3; the last two are constant only once reduced
+    argv = ["verify", "--map", text, "--theorem", theorem, "--grid", "16x16"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "qcext: map is constant, so it has no extension\n"
+
+
+@pytest.mark.parametrize("theorem", ["brown", "t5"])
+def test_a_derivative_with_a_triple_zero_is_not_constant(theorem, capsys):
+    argv = ["verify", "--map", "z^4", "--theorem", theorem, "--grid", "16x16"]
+    assert main(argv + ["--no-timestamp"]) == 1
+    assert json.loads(capsys.readouterr().out)["overall"] is False
+
+
+def test_a_negative_power_gets_the_verdict_of_its_quotient(capsys):
+    docs = []
+    for text in ("z+0.5*z^-1", "z+0.5/z"):
+        argv = ["verify", "--map", text, "--theorem", "krzyz", "--grid", "16x16"]
+        assert main(argv + ["--no-timestamp"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    power, quotient = docs
+    assert power["overall"] is quotient["overall"] is True
+    assert power["class_verdicts"] == quotient["class_verdicts"]
+    assert power["beltrami"]["sup_mu"] == pytest.approx(quotient["beltrami"]["sup_mu"], rel=1e-12)
+
+
+def test_text_report_notes_a_negative_control_before_the_verdict(capsys):
+    argv = ["verify", "--builtin", "koebe", "--format", "text", "--grid", "16x16"]
+    assert main(argv + ["--no-timestamp"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "note: negative control: failure is the documented outcome",
+        "overall: FAIL",
+    ]
+
+
 def test_indeterminate_map_at_zero_is_a_numerical_failure(capsys):
     # ext_thm5 reads z/z at 0, where its normal form is 0/0
     code = main(["verify", "--map", "z/z", "--theorem", "t5", "--grid", "8x8"])

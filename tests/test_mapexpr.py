@@ -362,6 +362,23 @@ def test_rational_form_is_cached_per_map_and_read_only():
             rational_form(parse_map("1/(z-z)"))
 
 
+def test_negative_powers_have_the_normal_form_of_a_quotient():
+    P, Q = rational_form(parse_map("z^-1"))
+    assert (P.tolist(), Q.tolist()) == ([1], [0, 1])
+    for a, b in zip(rational_form(parse_map("z+0.5*z^-1")), rational_form(parse_map("z+0.5/z"))):
+        assert a.tolist() == b.tolist()
+    k, c = laurent_at_infinity(parse_map("z+0.5*z^-1"), 4)
+    k_quotient, c_quotient = laurent_at_infinity(parse_map("z+0.5/z"), 4)
+    assert k == k_quotient == 1 and c.tolist() == c_quotient.tolist()
+    with pytest.raises(EvalError, match="negative power of the zero expression"):
+        rational_form(parse_map("(z-z)^-1"))
+
+
+def test_derivatives_of_integer_powers_fold_their_constants():
+    assert print_expr(derive(parse_map("z^-1")).root) == "((-1)*(z^-2))"
+    assert print_expr(derive(parse_map("z^0")).root) == "0"
+
+
 def test_laurent_at_infinity_of_g():
     # g = z + 0.12/z: top degree 1, coefficients 1, 0, 0.12
     k, c = laurent_at_infinity(parse_map("z+0.12/z"), 4)
