@@ -5,10 +5,10 @@ bound either |U| itself, |U|/|z|^2, or a first-derivative distance, over the
 disc or the exterior of the closed disc.  criterion_field evaluates each
 criterion's functional; check_class sweeps it over a polar grid, adds a
 chart sample at infinity for exterior criteria, and returns the worst
-sampled value with the point that produced it.  The sweep takes the grid in
-ring chunks and evaluates it in the blocks of grids.side_blocks, reducing
-each block as it goes, so it holds a few blocks of points at any grid size
-and gives the bits of one call on the whole grid.  seam_bound is the same
+sampled value with the point that produced it.  The sweep evaluates the
+grid in the blocks of grids.disc_blocks or exterior_blocks, masks its hole
+and reduces each block as it goes, so it holds a block at any grid size and
+gives the bits of one call on the whole grid.  seam_bound is the same
 functional's sup over the seam |z| = 1, the bound each theorem's extension
 and Loewner chain claim; exterior_lead checks the normalization at infinity
 that the exterior theorems assume.
@@ -30,11 +30,10 @@ from .errors import PreconditionError
 from .grids import (
     R_DISC,
     GridSpec,
-    disc_chunks,
-    exterior_chunks,
+    disc_blocks,
+    exterior_blocks,
     seam_circle,
     seam_sup,
-    side_blocks,
 )
 from .mapexpr import (
     TAU_JET,
@@ -297,7 +296,7 @@ def check_class(
 
     # first occurrence of the largest value over the blocks, in grid order
     worst_value, worst_point, n = -math.inf, None, 0
-    for Z in side_blocks(exterior_chunks(grid) if exterior else disc_chunks(grid)):
+    for Z in exterior_blocks(grid) if exterior else disc_blocks(grid):
         vals = criterion_field(m, which, Z, params)
         vals = np.where(np.isfinite(vals), vals, np.inf)
         if which == "V_p_lambda":

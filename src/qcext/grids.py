@@ -5,24 +5,24 @@ Every grid is one ``polar`` product returned flat, radius-major: point
 j * n_theta + k is radius j at angle k.  Criteria over open regions approach
 the boundary without touching it: disc radii stop at ``R_DISC`` = 0.999,
 exterior radii start at ``R_EXT_LO`` = 1.001.  The dilatation field samples
-``field_chunks``: the disc side then the exterior side, each kept
+``field_blocks``: the disc side then the exterior side, each kept
 ``SEAM_MARGIN`` off the circle.  When a supremum is taken over a grid, ties
 resolve to the first point in that order, so sweeps are deterministic.
 
-The verify sweeps never hold a whole grid.  ``disc_chunks``,
-``exterior_chunks`` and ``field_chunks`` yield their points in grid order as
-chunks of whole rings, at most ``BLOCK_POINTS`` points each, and
-``side_blocks`` re-cuts any such stream into the evaluation blocks that keep
-the bits of one call per side.  A sweep then holds one chunk, under three
-blocks of pending points and the temporaries of one block: a few MiB at any
-grid size, as long as one ring holds at most ``BLOCK_POINTS`` points.
+The verify sweeps never hold a whole grid.  ``disc_blocks``,
+``exterior_blocks`` and ``field_blocks`` yield each side's points in grid
+order, in the evaluation blocks that ``blocks`` cuts it into; ``polar_blocks``
+slices each block from the product of the rings it touches, so every point
+has its bits in ``polar``.  A sweep holds one block, its rings and the
+temporaries of one block: a few MiB at any grid size, as long as one ring
+holds at most ``BLOCK_POINTS`` points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -46,8 +46,9 @@ MAX_GRID_POINTS = 1 << 24
 # side, so a block across the seam would give a branch fewer points than its
 # side holds; blocks per side keep every branch call on the same side of the
 # floor as a whole-side call, and a side below the floor stays whole.  The
-# colour stage of render_domaincolor is elementwise, so its blocks only
-# borrow the size, to keep their temporaries small.
+# sweeps mask their exclusion holes after evaluation, as cutting them out
+# first could take a side below the floor.  The colour stage of
+# render_domaincolor is elementwise, so its blocks only borrow the size.
 #
 # The floor cuts both ways: stencil blocks stay at or above it, and the
 # Loewner chain sweeps stay below it.  They stack their t samples as rows
@@ -116,13 +117,16 @@ def polar(radii: np.ndarray, rays: np.ndarray) -> np.ndarray:
     return (radii[:, None] * rays[None, :]).ravel()
 
 
-def polar_chunks(radii: np.ndarray, rays: np.ndarray) -> Iterator[np.ndarray]:
-    """polar(radii, rays) as consecutive chunks of whole rings, each the
-    polar product of a slice of radii and at most BLOCK_POINTS points unless
-    one ring holds more; every point has the bits it has in polar."""
-    step = max(1, BLOCK_POINTS // rays.size)
-    for j in range(0, radii.size, step):
-        yield polar(radii[j : j + step], rays)
+def polar_blocks(radii: np.ndarray, rays: np.ndarray) -> Iterator[np.ndarray]:
+    """polar(radii, rays) in the cuts of blocks(0, n), each block sliced from
+    the polar product of the rings it touches, so every point has the bits it
+    has in polar; consecutive blocks within the same rings share one product."""
+    m, rings = rays.size, None
+    for lo, hi in blocks(0, radii.size * m):
+        j, k = lo // m, -(-hi // m)
+        if rings != (j, k):
+            rings, product = (j, k), polar(radii[j:k], rays)
+        yield product[lo - j * m : hi - j * m]
 
 
 def disc_grid(spec: GridSpec, r_max: float = R_DISC) -> np.ndarray:
@@ -130,30 +134,30 @@ def disc_grid(spec: GridSpec, r_max: float = R_DISC) -> np.ndarray:
     return polar(_disc_radii(spec, r_max), _rays(spec.n_theta))
 
 
-def disc_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
-    """disc_grid(spec) in the chunks of polar_chunks."""
-    return polar_chunks(_disc_radii(spec, R_DISC), _rays(spec.n_theta))
+def disc_blocks(spec: GridSpec) -> Iterator[np.ndarray]:
+    """disc_grid(spec) in the blocks of polar_blocks."""
+    return polar_blocks(_disc_radii(spec, R_DISC), _rays(spec.n_theta))
 
 
-def exterior_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
+def exterior_blocks(spec: GridSpec) -> Iterator[np.ndarray]:
     """Exterior points on geometrically spaced radii in [R_EXT_LO, R_EXT_HI],
-    in the chunks of polar_chunks.
+    in the blocks of polar_blocks.
 
     Geometric spacing concentrates samples near the seam, where the
     exterior functionals peak.  The chart point at infinity is handled
     separately by callers (it has no finite coordinates).
     """
     radii = np.geomspace(R_EXT_LO, R_EXT_HI, spec.n_r)
-    return polar_chunks(radii, _rays(spec.n_theta))
+    return polar_blocks(radii, _rays(spec.n_theta))
 
 
-def field_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
-    """The dilatation field's 2 * n_r * n_theta points in the chunks of
-    polar_chunks: n_r radii evenly in [0.05, 1 - SEAM_MARGIN], then n_r in
+def field_blocks(spec: GridSpec) -> Iterator[np.ndarray]:
+    """The dilatation field's 2 * n_r * n_theta points in the blocks of
+    polar_blocks: n_r radii evenly in [0.05, 1 - SEAM_MARGIN], then n_r in
     [1 + SEAM_MARGIN, CHART_RADIUS], each on seam_circle(n_theta)."""
     rays = seam_circle(spec.n_theta)
-    yield from polar_chunks(np.linspace(0.05, 1.0 - SEAM_MARGIN, spec.n_r), rays)
-    yield from polar_chunks(np.linspace(1.0 + SEAM_MARGIN, CHART_RADIUS, spec.n_r), rays)
+    yield from polar_blocks(np.linspace(0.05, 1.0 - SEAM_MARGIN, spec.n_r), rays)
+    yield from polar_blocks(np.linspace(1.0 + SEAM_MARGIN, CHART_RADIUS, spec.n_r), rays)
 
 
 def seam_circle(n: int = N_SEAM) -> np.ndarray:
@@ -192,38 +196,12 @@ def blocks(lo: int, hi: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def side_blocks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The points of a stream of flat chunks, in order, re-cut into
-    evaluation blocks: each run of points on one side of |z| = 1 is cut into
-    blocks of exactly BLOCK_POINTS points, the remainder folded into the
-    last, so no block crosses the seam, every block holds at least
-    BLOCK_POINTS points unless its whole run is shorter, and a run gives as
-    many blocks as blocks() cuts it into.  Runs may span chunks; between
-    blocks, fewer than 2 * BLOCK_POINTS points plus one chunk are held.  A
-    single array passed as [Z] is cut into views of Z, without a copy."""
-    pending: list[np.ndarray] = []
-    held, side = 0, None
-    for chunk in chunks:
-        if not chunk.size:
-            continue
-        inside = np.abs(chunk) < 1.0
-        cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), chunk.size]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if held and inside[lo] != side:
-                yield _joined(pending)
-                pending, held = [], 0
-            side = inside[lo]
-            pending.append(chunk[lo:hi])
-            held += hi - lo
-            if held >= 2 * BLOCK_POINTS:
-                run = _joined(pending)
-                while run.size >= 2 * BLOCK_POINTS:
-                    yield run[:BLOCK_POINTS]
-                    run = run[BLOCK_POINTS:]
-                pending, held = [run], run.size
-    if held:
-        yield _joined(pending)
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def side_blocks(points: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of the flat array points, in order: each run of points on one
+    side of |z| = 1 in the cuts of blocks(), so no block crosses the seam."""
+    inside = np.abs(points) < 1.0
+    cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), points.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi > lo:
+            for a, b in blocks(lo, hi):
+                yield points[a:b]

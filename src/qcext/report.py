@@ -19,7 +19,7 @@ from .beltrami import certify_qc
 from .classifiers import ClassVerdict, check_class
 from .corpus import class_params_for, get_builtin, theorem_class
 from .extensions import ExtendedMap, build_extension
-from .grids import GridSpec, field_chunks
+from .grids import GridSpec, field_blocks
 from .loewner import T_MAX, ChainGrid, build_chain, check_theorem_A
 from .mapexpr import parse_map
 from .sphere import INFINITY
@@ -209,7 +209,7 @@ def run_verify(
 
     em = build_extension(theorem, f, merged)
     claimed = ex.expected_k(params) if ex is not None else None
-    verdict = certify_qc(em, field_chunks(gs), claimed_k=claimed)
+    verdict = certify_qc(em, field_blocks(gs), claimed_k=claimed)
     if ex is not None and ex.negative:
         notes.append("negative control: failure is the documented outcome")
 

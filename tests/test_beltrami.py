@@ -11,7 +11,6 @@ from qcext.beltrami import (
     beltrami_field,
     certify_qc,
     infinity_chart_field,
-    _apply_zones,
     _exclusion_zones,
     _wirtinger_block,
     wirtinger,
@@ -33,7 +32,7 @@ from qcext.grids import (
     MAX_GRID_POINTS,
     SEAM_MARGIN,
     GridSpec,
-    field_chunks,
+    field_blocks,
     polar,
     seam_circle,
 )
@@ -55,13 +54,21 @@ def _exterior(n_r, n_theta, lo=1.0 + SEAM_MARGIN, hi=CHART_RADIUS):
 
 
 def _field_points(spec):
-    return np.concatenate(list(field_chunks(spec)))
+    return np.concatenate(list(field_blocks(spec)))
+
+
+def _kept(em, points):
+    """The points outside every exclusion zone of em."""
+    keep = np.ones(points.shape, dtype=bool)
+    for center, radius in _exclusion_zones(em):
+        keep &= np.abs(points - center) >= radius
+    return points[keep]
 
 
 def _pointwise(em, points):
     """(points, mu, jacobian proxy) at the points beltrami_field keeps, from
     one stencil call on all of them."""
-    points = _apply_zones(points, _exclusion_zones(em))
+    points = _kept(em, points)
     fz, fzb = _wirtinger_block(em.evaluate_array, points)
     return points, fzb / fz, np.abs(fz) ** 2 - np.abs(fzb) ** 2
 
@@ -134,13 +141,6 @@ def test_grid_exclusions_punch_holes():
     assert beltrami_field(em, points).n_points == np.count_nonzero(outside)
 
 
-def test_zones_that_hold_no_point_leave_the_points_uncopied():
-    points = _disc(64, 64)
-    assert _apply_zones(points, []) is points
-    assert _apply_zones(points, [(0.5, POLE_EXCLUSION)]) is points
-    assert _apply_zones(points, [(points[7], 1e-9)]).size == points.size - 1
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -161,7 +161,7 @@ def test_krzyz_field_constant_half():
     assert np.max(np.abs(np.abs(mu) - 0.5)) < 1e-6
     outer = beltrami_field(em, _exterior(24, 24))
     assert outer.sup_mu < 1e-6
-    assert abs(beltrami_field(em, field_chunks(GridSpec())).sup_mu - 0.5) < 1e-6
+    assert abs(beltrami_field(em, field_blocks(GridSpec())).sup_mu - 0.5) < 1e-6
 
 
 def test_radial_field_matches_profile_law():
@@ -219,8 +219,8 @@ def _whole_side_field(em, points):
 def test_blocked_field_is_bit_identical_to_whole_sides(em):
     points = _field_points(GridSpec(400, 400))
     field = beltrami_field(em, points)
-    assert beltrami_field(em, field_chunks(GridSpec(400, 400))) == field
-    kept = _apply_zones(points, _exclusion_zones(em))
+    assert beltrami_field(em, field_blocks(GridSpec(400, 400))) == field
+    kept = _kept(em, points)
     sup, arg, jac_min, n_deg = _whole_side_field(em, kept)
     assert field.sup_mu == sup and field.argmax_point == arg
     assert field.jacobian_min == jac_min
@@ -257,7 +257,7 @@ def test_chart_field_when_infinity_moves():
     ids=["thm2", "mobius", "krzyz", "radial"],
 )
 def test_certify_corpus_extension_passes(em):
-    verdict = certify_qc(em, field_chunks(GridSpec(48, 48)))
+    verdict = certify_qc(em, field_blocks(GridSpec(48, 48)))
     assert verdict.passed
     assert verdict.mu_ok and verdict.orientation_ok and verdict.seam_ok
     assert verdict.sup_mu <= verdict.claimed_k + TAU_MU
@@ -287,7 +287,7 @@ def test_certify_flags_injected_seam_fault():
     )
     sup_abs, _ = seam_gap(fault)
     assert abs(sup_abs - 0.1) < 1e-6
-    verdict = certify_qc(fault, field_chunks(GridSpec(16, 16)))
+    verdict = certify_qc(fault, field_blocks(GridSpec(16, 16)))
     assert not verdict.seam_ok and not verdict.passed
     assert verdict.mu_ok  # the shift leaves derivatives alone
 
@@ -295,7 +295,7 @@ def test_certify_flags_injected_seam_fault():
 def test_verdict_summary_shape():
     # run_verify stores the verdict's fields as the report's beltrami section
     em = ext_mobius_convex(parse_map("z/(1-0.5*z)"))
-    s = asdict(certify_qc(em, field_chunks(GridSpec(16, 16))))
+    s = asdict(certify_qc(em, field_blocks(GridSpec(16, 16))))
     assert s["passed"] is True
     for key in ("sup_mu", "claimed_k", "jacobian_min", "seam_sup_chordal", "n_points"):
         assert key in s

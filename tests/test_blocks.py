@@ -1,9 +1,10 @@
-"""The streamed verify sweeps against the whole-array code they replaced.
+"""The blocked verify sweeps against the whole-array code they replaced.
 
-check_class and beltrami_field take their grids as ring chunks and reduce
-grids.side_blocks of them block by block.  Each case below compares their
-results, through the repr of every field, with an inline copy of the code
-that held the whole grid, and checks the block layout side_blocks made.
+check_class and beltrami_field take their grids as evaluation blocks, mask
+their exclusion holes and reduce block by block.  Each case below compares
+their results, through the repr of every field, with an inline copy of the
+code that held the whole grid and cut the holes out before evaluation, and
+checks the block layout the grid generators made.
 """
 
 import math
@@ -16,8 +17,8 @@ from qcext.beltrami import (
     DEGENERATE_TOL,
     DegenerateFieldError,
     BeltramiField,
-    _apply_zones,
     _exclusion_zones,
+    _field_on_points,
     _wirtinger_block,
     beltrami_field,
 )
@@ -30,7 +31,7 @@ from qcext.classifiers import (
     check_class,
     criterion_field,
 )
-from qcext.corpus import get_builtin
+from qcext.corpus import get_builtin, theorem_class
 from qcext.extensions import ExtendedMap, build_extension
 from qcext.grids import (
     BLOCK_POINTS,
@@ -41,9 +42,9 @@ from qcext.grids import (
     SEAM_MARGIN,
     GridSpec,
     blocks,
-    disc_chunks,
-    exterior_chunks,
-    field_chunks,
+    disc_blocks,
+    exterior_blocks,
+    field_blocks,
     polar,
     seam_circle,
     side_blocks,
@@ -55,6 +56,13 @@ EXTERIOR = ("M_Ug", "M_corollary1", "M_krzyz_decay")
 
 # ---------------------------------------------------------------------------
 # the whole-array code, as it was before the sweeps streamed
+
+
+def _old_apply_zones(points, zones):
+    keep = np.ones(points.shape, dtype=bool)
+    for center, radius in zones:
+        keep &= np.abs(points - center) >= radius
+    return points if keep.all() else points[keep]
 
 
 def _old_rays(n_theta):
@@ -116,7 +124,7 @@ def _old_blocks(lo, hi):
 
 
 def _old_field(em, points):
-    points = _apply_zones(points, _exclusion_zones(em))
+    points = _old_apply_zones(points, _exclusion_zones(em))
     inside = np.abs(points) < 1.0
     cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), points.size]
     runs = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
@@ -159,25 +167,21 @@ def _old_field(em, points):
 # checks
 
 
-def _assert_layout(chunks, points):
-    """side_blocks(chunks) holds points in order, each side's run cut into
-    blocks of BLOCK_POINTS with the remainder folded into the last, as many
-    as grids.blocks cuts the run into."""
-    got = list(side_blocks(chunks))
+def _assert_layout(got, points):
+    """The blocks got hold the bytes of points in order, and each side's run
+    of n points is cut exactly as grids.blocks(0, n) cuts it."""
+    got = list(got)
     assert np.concatenate(got).tobytes() == points.tobytes()
     inside = np.abs(points) < 1.0
     cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), points.size]
-    want = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        n = len(blocks(lo, hi))
-        want += [BLOCK_POINTS] * (n - 1) + [hi - lo - (n - 1) * BLOCK_POINTS]
-    assert [b.size for b in got] == want
+    sizes = [hi - lo for lo, hi in zip(cuts[:-1], cuts[1:])]
+    assert [b.size for b in got] == [b - a for n in sizes for a, b in blocks(0, n)]
 
 
 def _same_class(m, which, params, grid):
     exterior = which in EXTERIOR
     _assert_layout(
-        exterior_chunks(grid) if exterior else disc_chunks(grid),
+        exterior_blocks(grid) if exterior else disc_blocks(grid),
         _old_class_grid(grid, exterior),
     )
     got = check_class(m, which, params, grid)
@@ -186,10 +190,8 @@ def _same_class(m, which, params, grid):
 
 
 def _same_field(em, grid):
-    zones = _exclusion_zones(em)
-    kept = _apply_zones(_old_field_points(grid), zones)
-    _assert_layout((_apply_zones(c, zones) for c in field_chunks(grid)), kept)
-    got = beltrami_field(em, field_chunks(grid))
+    _assert_layout(field_blocks(grid), _old_field_points(grid))
+    got = beltrami_field(em, field_blocks(grid))
     assert repr(got) == repr(_old_field(em, _old_field_points(grid)))
     return got
 
@@ -206,6 +208,10 @@ def _builtin(bid):
 SHORT = GridSpec(100, 120)
 # 129 x 256 = 33,024 points a side: just over 2 * BLOCK_POINTS
 OVER_TWO = GridSpec(129, 256)
+# BLOCK_POINTS points a side, where cutting the holes out of the field
+# left some of these builtins' sides 16,376-16,382 points long
+AT_FLOOR = {"128x128": GridSpec(128, 128), "64x256": GridSpec(64, 256)}
+HOLED = ("p_mobius", "example1", "example3", "koebe", "kp")
 
 
 def test_case_grids_sit_where_they_claim():
@@ -235,6 +241,38 @@ def test_streamed_field_matches_the_whole_grid(grid, bid):
     _same_field(_builtin(bid)[1], grid)
 
 
+@pytest.mark.parametrize("grid", AT_FLOOR.values(), ids=AT_FLOOR.keys())
+@pytest.mark.parametrize("bid", HOLED)
+def test_holes_at_the_floor_match_the_holes_cut_out_first(grid, bid):
+    assert grid.n_r * grid.n_theta == BLOCK_POINTS
+    ex, em = _builtin(bid)
+    which = theorem_class(ex.theorem, ex.params())
+    _same_class(parse_map(ex.text()), which, ex.class_params(None), grid)
+    field = _same_field(em, grid)
+    assert field.n_points == _old_apply_zones(_old_field_points(grid), _exclusion_zones(em)).size
+
+
+def test_holes_cut_out_first_took_most_floor_cases_below_the_floor():
+    below = 0
+    for bid in HOLED:
+        zones = _exclusion_zones(_builtin(bid)[1])
+        for grid in AT_FLOOR.values():
+            kept = _old_apply_zones(_old_field_points(grid), zones)
+            sides = np.count_nonzero(np.abs(kept) < 1.0), np.count_nonzero(np.abs(kept) > 1.0)
+            below += min(sides) < BLOCK_POINTS
+    assert below == 8
+
+
+def test_a_hole_is_never_the_reported_witness():
+    # every point is degenerate, and the block's first point is in a hole:
+    # the witness is the first kept point, as with the hole cut out first
+    em = _flat_map(lambda W: np.full(W.shape, np.nan + 0j))
+    Z = np.array([0.5 + 0j, 0.25 + 0j])
+    field = _field_on_points(em.evaluate_array, [Z], [(0.5, POLE_EXCLUSION)])
+    assert repr(field) == repr(_old_field(em, Z[1:]))
+    assert (field.argmax_point, field.n_points, field.degenerate_count) == (0.25, 1, 1)
+
+
 @pytest.mark.parametrize("bid", ["p_mobius", "example1"])
 def test_exclusion_zones_cut_points_inside_a_block(bid):
     # p_mobius holes its inner pole 0.5, example1 its boundary pole 1 from
@@ -242,7 +280,7 @@ def test_exclusion_zones_cut_points_inside_a_block(bid):
     em = _builtin(bid)[1]
     grid = GridSpec(130, 260)
     points = _old_field_points(grid)
-    kept = _apply_zones(points, _exclusion_zones(em))
+    kept = _old_apply_zones(points, _exclusion_zones(em))
     assert kept.size < points.size
     # the holes leave each side longer than 2 * BLOCK_POINTS, so they fall
     # inside the blocks rather than at the ends of a run
@@ -326,11 +364,7 @@ def test_field_argmax_tie_across_blocks_keeps_the_first_point():
     em = _flat_map(outer)
     fz, fzb = _wirtinger_block(em.evaluate_array, np.array([top, -top]))
     assert np.abs(fzb / fz)[0] == np.abs(fzb / fz)[1]
-    _assert_layout([points], points)
+    _assert_layout(side_blocks(points), points)
     got = beltrami_field(em, points)
     assert repr(got) == repr(_old_field(em, points))
     assert got.argmax_point == top
-    # the same points streamed in uneven chunks
-    chunks = np.split(points, [1000, 9000, 20000, 20001])
-    _assert_layout(chunks, points)
-    assert repr(beltrami_field(em, chunks)) == repr(got)
