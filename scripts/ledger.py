@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print the corpus ledger: every number the reports give on the corpus.
 
-Each report is flattened to one line per numeric field (bools, ints, floats
-and complex numbers, with "infinity" for the point at infinity), as
+Each report is flattened to one line per field (bools, ints, floats,
+complex numbers and strings, with "infinity" for the point at infinity), as
 
     <input> <field path> <exit code> <repr of the value>
 
@@ -46,10 +46,10 @@ def chain_cases():
 
 
 def _fields(value, path):
-    """(path, repr) of each numeric leaf under value."""
+    """(path, repr) of each leaf under value."""
     if value is INFINITY:
         yield path, "infinity"
-    elif isinstance(value, (bool, int, float, complex)):
+    elif isinstance(value, (bool, int, float, complex, str)):
         yield path, repr(value)
     elif isinstance(value, dict):
         for key, item in value.items():

@@ -2,7 +2,7 @@
 
 from .version import VERSION as __version__
 
-from .mapexpr import MapExpr, ParseError, eval_array, eval_map, parse_map
+from .mapexpr import ParseError, eval_array, eval_map, parse_map
 from .classifiers import ClassParams, ClassVerdict, check_class
 from .extensions import (
     ExtendedMap,
@@ -38,7 +38,6 @@ from .report import VerificationReport, run_chain, run_verify
 
 __all__ = [
     "__version__",
-    "MapExpr",
     "ParseError",
     "parse_map",
     "eval_map",

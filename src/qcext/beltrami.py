@@ -5,13 +5,13 @@ dilatation mu = F_zbar / F_z is measured at given sample points (the
 pipeline passes grids.field_blocks, both sides of the unit circle) and on a
 chart around infinity, then certified against the bound the builder claimed.
 A field is never kept point by point: the points arrive as evaluation
-blocks, and each block is reduced as it is made, to the four numbers
-certification reads.  The holes around special points are masks: their
-points are evaluated with their block and left out of the reduction.  So a
-sweep holds a block, never the grid: under tracemalloc, run_verify at
-800x800 peaks at 3.1-4.2 MiB.  Everything here treats the map as a
-black-box evaluator: the point is to confirm the closed forms by an
-estimator that knows nothing about them.
+blocks (one flat array is one block), and each block is reduced as it is
+made, to the four numbers certification reads.  The holes around special
+points are masks: their points are evaluated with their block and left out
+of the reduction.  So a sweep holds a block, never the grid: under
+tracemalloc, run_verify at 800x800 peaks at 3.1-4.2 MiB.  Everything here
+treats the map as a black-box evaluator: the point is to confirm the closed
+forms by an estimator that knows nothing about them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifiers import POLE_EXCLUSION
 from .extensions import TAU_SEAM, ExtendedMap, seam_gap
-from .grids import CHART_RADIUS, polar, seam_circle, side_blocks
+from .grids import CHART_RADIUS, polar, seam_circle
 from .sphere import is_infinity
 
 # certify_qc: the sampled sup |mu| may exceed the claimed k by this much
@@ -146,10 +146,10 @@ def _field_on_points(F, blocks: Iterable[np.ndarray], zones=()) -> BeltramiField
 
 def beltrami_field(em: ExtendedMap, points: np.ndarray | Iterable[np.ndarray]) -> BeltramiField:
     """Dilatation sweep over the sample points, with holes around special
-    points.  An array is cut by grids.side_blocks; any other iterable is
-    taken as the evaluation blocks themselves, as grids.field_blocks yields
-    them."""
-    blocks = side_blocks(points) if isinstance(points, np.ndarray) else points
+    points.  The points come as evaluation blocks, as grids.field_blocks
+    yields them; one flat array is evaluated as one block, so the sweep
+    holds whole-array temporaries."""
+    blocks = [points] if isinstance(points, np.ndarray) else points
     return _field_on_points(em.evaluate_array, blocks, _exclusion_zones(em))
 
 
@@ -187,9 +187,9 @@ def certify_qc(
     """Check the claimed dilatation bound, orientation, and the seam.
 
     The field runs over the sample points (grids.field_blocks in the
-    pipeline) and the infinity chart.  The sampled sup is a lower bound for
-    the essential sup: a pass means no violation was found at these points,
-    nothing stronger.
+    pipeline; one flat array is one block, as in beltrami_field) and the
+    infinity chart.  The sampled sup is a lower bound for the essential sup:
+    a pass means no violation was found at these points, nothing stronger.
     """
     k = em.claimed_k if claimed_k is None else float(claimed_k)
     field = beltrami_field(em, points)

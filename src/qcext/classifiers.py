@@ -41,8 +41,8 @@ from .mapexpr import (
     TAU_SERIES_CONST,
     Const,
     Div,
-    MapExpr,
     Mul,
+    Node,
     Pow,
     Sub,
     Var,
@@ -119,20 +119,17 @@ class ClassVerdict:
 
 
 @functools.lru_cache(maxsize=256)
-def u_expr(f: MapExpr) -> MapExpr:
+def u_expr(f: Node) -> Node:
     """U_f as an expression tree: (z/f)^2 * f' - 1."""
-    root = Sub(
-        Mul(Pow(Div(Var(), f.root), 2), derive(f).root), Const(1 + 0j)
-    )
-    return MapExpr(root)
+    return Sub(Mul(Pow(Div(Var(), f), 2), derive(f)), Const(1 + 0j))
 
 
-def u_field(f: MapExpr, Z: np.ndarray) -> np.ndarray:
+def u_field(f: Node, Z: np.ndarray) -> np.ndarray:
     """Vectorized (z/f)^2 f' - 1 on a finite grid (IEEE semantics)."""
     return eval_array(u_expr(f), Z)
 
 
-def usable_jet(f: MapExpr, consequence: str) -> tuple[complex, ...]:
+def usable_jet(f: Node, consequence: str) -> tuple[complex, ...]:
     """The jet (c0, ..., c3) of f at 0, refused when rounding at TAU_SERIES_CONST
     times the largest of c1, c2, c3 swamps a nonzero f'(0)."""
     jf = taylor_jet(f, 3)
@@ -145,7 +142,7 @@ def usable_jet(f: MapExpr, consequence: str) -> tuple[complex, ...]:
     return jf
 
 
-def phi_from_map(f: MapExpr) -> MapExpr:
+def phi_from_map(f: Node) -> Node:
     """phi(z) = z/f(z) + a2*z - 1 for normalized f.
 
     Satisfies phi(0) = phi'(0) = 0 and U_f = phi - z*phi'.
@@ -157,7 +154,7 @@ def phi_from_map(f: MapExpr) -> MapExpr:
             f"c0={jet[0]}, c1={jet[1]}"
         )
     a2 = jet[2]
-    phi = parse_map(f"z/{print_expr(f.root)}+{const_text(a2)}*z-1")
+    phi = parse_map(f"z/{print_expr(f)}+{const_text(a2)}*z-1")
     # phi's normal form does not cancel the z/f quotient, so its jet at 0
     # meets a zero denominator; verify the second-order vanishing through the
     # shifted series instead, refused before series_inv if f'(0) is swamped
@@ -174,7 +171,7 @@ def phi_from_map(f: MapExpr) -> MapExpr:
 # chart values at infinity for the exterior criteria
 
 
-def _chart_value(g: MapExpr, which: str) -> float:
+def _chart_value(g: Node, which: str) -> float:
     """The criterion functional evaluated at the point at infinity."""
     if which == "M_Ug":
         # as below, no chart value off a simple pole (U_g's form can overflow)
@@ -201,7 +198,7 @@ def _chart_value(g: MapExpr, which: str) -> float:
 
 
 def criterion_field(
-    m: MapExpr,
+    m: Node,
     which: str,
     Z: np.ndarray,
     params: ClassParams | None = None,
@@ -233,13 +230,13 @@ def criterion_field(
         return np.abs(Fp + 1.0)
 
 
-def seam_bound(m: MapExpr, which: str, params: ClassParams | None = None) -> float:
+def seam_bound(m: Node, which: str, params: ClassParams | None = None) -> float:
     """The criterion functional's sup over the seam circle: the dilatation
     bound the theorem's extension and its Loewner chain claim."""
     return seam_sup(criterion_field(m, which, seam_circle(), params))
 
 
-def exterior_lead(g: MapExpr, unimodular: bool = False) -> complex:
+def exterior_lead(g: Node, unimodular: bool = False) -> complex:
     """Leading coefficient c0 of an exterior map g(z) = c0 z + O(1).
 
     g must have a simple pole at infinity with c0 = 1; with unimodular
@@ -264,7 +261,7 @@ def exterior_lead(g: MapExpr, unimodular: bool = False) -> complex:
 
 
 def check_class(
-    m: MapExpr,
+    m: Node,
     which: str,
     params: ClassParams | None = None,
     grid: GridSpec | None = None,

@@ -43,8 +43,8 @@ from .mapexpr import (
     Add,
     Const,
     Div,
-    MapExpr,
     Mul,
+    Node,
     Pow,
     Var,
     compose,
@@ -110,7 +110,7 @@ class ExtendedMap:
     than TAU_SPECIAL_POINT away in the chordal metric.
     """
 
-    inner: MapExpr
+    inner: Node
     inner_region: str  # "disc" | "exterior"
     outer_id: str
     outer_params: Tuple[Tuple[str, str], ...]
@@ -156,14 +156,14 @@ class ExtendedMap:
             out = np.empty(flat.shape, dtype=np.complex128)
             for side, branch in ((use_inner, inner), (~use_inner, self.outer)):
                 index = np.flatnonzero(side)
-                for lo, hi in blocks(0, index.size):
+                for lo, hi in blocks(index.size):
                     pick = index[lo:hi]
                     out[pick] = branch(flat[pick])
         return out.reshape(Z.shape)
 
     def summary(self) -> dict:
         return {
-            "inner": print_expr(self.inner.root),
+            "inner": print_expr(self.inner),
             "inner_region": self.inner_region,
             "outer": {"id": self.outer_id, "params": dict(self.outer_params)},
             "special_points": self.special_points,
@@ -191,7 +191,7 @@ def seam_gap(em: ExtendedMap) -> Tuple[float, float]:
     return sup_abs, sup_chordal
 
 
-def _require_normalized_jet(f: MapExpr) -> np.ndarray:
+def _require_normalized_jet(f: Node) -> np.ndarray:
     c = np.asarray(taylor_jet(f, 3))
     if abs(c[0]) > TAU_JET or abs(c[1] - 1.0) > TAU_JET:
         raise PreconditionError("map must be normalized: f(0)=0, f'(0)=1")
@@ -199,7 +199,7 @@ def _require_normalized_jet(f: MapExpr) -> np.ndarray:
 
 
 def _reflected(
-    f: MapExpr,
+    f: Node,
     outer_id: str,
     params: Tuple[Tuple[str, str], ...],
     outer: Callable[[np.ndarray], np.ndarray],
@@ -225,7 +225,7 @@ def _reflected(
 # disc-side builders
 
 
-def ext_huang_owa(f: MapExpr) -> ExtendedMap:
+def ext_huang_owa(f: Node) -> ExtendedMap:
     """Extend a normalized disc map by z / (1 - a2 z + |z|^2 phi(1/z-bar)).
 
     The seam identity is |z|^2 phi(1/z-bar) = phi(z) on |z| = 1.  The bound
@@ -235,7 +235,7 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
     c = _require_normalized_jet(f)
     a2 = complex(c[2])
     phi = phi_from_map(f)
-    ratio = MapExpr(Div(phi.root, Var()))
+    ratio = Div(phi, Var())
     claimed = seam_sup(eval_array(derive(ratio), seam_circle()))
 
     def outer(Z):
@@ -246,14 +246,14 @@ def ext_huang_owa(f: MapExpr) -> ExtendedMap:
     return _reflected(f, "phi_reflection", (("a2", repr(a2)),), outer, claimed, at_inf)
 
 
-def ext_thm2(f: MapExpr) -> ExtendedMap:
+def ext_thm2(f: Node) -> ExtendedMap:
     """Extend by z f(1/z-bar) / (z - (|z|^2 - 1) f(1/z-bar)); needs a2 = 0."""
     c = _require_normalized_jet(f)
     if abs(c[2]) > TAU_JET:
         raise PreconditionError(
             f"second coefficient must vanish for this extension, got {c[2]}"
         )
-    recip = MapExpr(Div(Const(1.0 + 0j), f.root))
+    recip = Div(Const(1.0 + 0j), f)
 
     def outer(Z):
         # divide through by f(1/z-bar) so reflected poles stay finite
@@ -263,20 +263,20 @@ def ext_thm2(f: MapExpr) -> ExtendedMap:
     return _reflected(f, "map_reflection", (), outer, seam_bound(f, "M_Ug"))
 
 
-def _mobius_a2(f: MapExpr) -> Optional[complex]:
+def _mobius_a2(f: Node) -> Optional[complex]:
     """a2 of f when f is z/(1 - a2 z), so that the small functional U_f
     vanishes identically (a disc automorphism denominator), else None.
 
     Decided on the rational normal form P/Q: z Q - (1 - a2 z) P must vanish
     to TAU_COEFF_DUST of its coefficient scale."""
-    a2 = complex(taylor_jet(f, 6)[2])
+    a2 = complex(taylor_jet(f, 2)[2])
     P, Q = rational_form(f)
     if np.any(shifted_difference(Q, np.convolve(P, [1.0, -a2]))):
         return None
     return a2
 
 
-def _require_mobius_a2(f: MapExpr) -> complex:
+def _require_mobius_a2(f: Node) -> complex:
     a2 = _mobius_a2(f)
     if a2 is None:
         raise PreconditionError(
@@ -286,7 +286,7 @@ def _require_mobius_a2(f: MapExpr) -> complex:
     return a2
 
 
-def ext_mobius_convex(f: MapExpr) -> ExtendedMap:
+def ext_mobius_convex(f: Node) -> ExtendedMap:
     """Extend f = z/(1 - a2 z), 0 < |a2| < 1, by z(|z|^2 - a2 z)/(|z| - a2 z)^2;
     |mu| = |a2|."""
     a2 = _require_mobius_a2(f)
@@ -308,7 +308,7 @@ def ext_mobius_convex(f: MapExpr) -> ExtendedMap:
     )
 
 
-def ext_radial_psi(f: MapExpr, profile: RadialProfile, p: Optional[complex] = None) -> ExtendedMap:
+def ext_radial_psi(f: Node, profile: RadialProfile, p: Optional[complex] = None) -> ExtendedMap:
     """Radial-profile extension of a Mobius map with a boundary or inner pole.
 
     Without p, f = z/(1 - a2 z) with |a2| = 1 has its pole on the seam; outer
@@ -359,7 +359,7 @@ def ext_radial_psi(f: MapExpr, profile: RadialProfile, p: Optional[complex] = No
     )
 
 
-def _require_reflectable(f: MapExpr) -> None:
+def _require_reflectable(f: Node) -> None:
     """Refuse a disc map that is infinite at 0, has a swamped f'(0), or is
     constant: the numerator of f' is then identically zero, even when f's
     own normal form, as in (z+1)/(z+1), is not reduced."""
@@ -370,7 +370,7 @@ def _require_reflectable(f: MapExpr) -> None:
     usable_jet(f, "f has no usable derivative at 0")
 
 
-def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
+def ext_brown(f: Node, brown_lambda: complex) -> ExtendedMap:
     """Extend by f(1/z-bar) + (z - 1/z-bar)/lambda; bound sup |lambda f' - 1|."""
     lam = complex(brown_lambda)
     if lam == 0:
@@ -385,7 +385,7 @@ def ext_brown(f: MapExpr, brown_lambda: complex) -> ExtendedMap:
     return _reflected(f, "derivative_shift", (("lambda", repr(lam)),), outer, claimed)
 
 
-def ext_thm5(f: MapExpr) -> ExtendedMap:
+def ext_thm5(f: Node) -> ExtendedMap:
     """Extend by f(1/z-bar) - z + 1/z-bar; bound sup |f' + 1|.
 
     Maps under this hypothesis have f'(0) near -1, so no normalization jet is
@@ -404,7 +404,7 @@ def ext_thm5(f: MapExpr) -> ExtendedMap:
 # exterior-side builders
 
 
-def _poly_node(coeffs: np.ndarray):
+def _poly_node(coeffs: np.ndarray) -> Node:
     """Expression node for sum coeffs[j] z^j with zero terms dropped."""
     terms = []
     for j, cj in enumerate(coeffs):
@@ -423,7 +423,7 @@ def _poly_node(coeffs: np.ndarray):
     return node
 
 
-def _recover_w(g: MapExpr) -> MapExpr:
+def _recover_w(g: Node) -> Node:
     """w(z) = g(1/z) - 1/z rebuilt as one rational expression.
 
     Subtracting the trees directly is catastrophic near 0 where both terms
@@ -448,13 +448,11 @@ def _recover_w(g: MapExpr) -> MapExpr:
     while len(den) > 1 and den[-1] == 0:
         den = den[:-1]
     if len(den) == 1 and den[0] == 1:
-        root = _poly_node(num)
-    else:
-        root = Div(_poly_node(num), _poly_node(den))
-    return MapExpr(root)
+        return _poly_node(num)
+    return Div(_poly_node(num), _poly_node(den))
 
 
-def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
+def ext_exterior(g: Node, which: str) -> ExtendedMap:
     """Fill the disc under an exterior map g(zeta) = zeta + b0 + b1/zeta + ...
 
     thm4:  g(1/zb) / (1 + (1/zeta - zb) g(1/zb)),  zb = zeta-bar
@@ -482,7 +480,7 @@ def ext_exterior(g: MapExpr, which: str) -> ExtendedMap:
         def outer(Z):
             return Z + eval_array(w, np.conj(Z))
 
-        params = (("w", print_expr(w.root)),)
+        params = (("w", print_expr(w)),)
         outer_id = "conjugate_shift"
     else:
         sign = 1.0 if which == "thm4" else -1.0
@@ -532,7 +530,7 @@ def becker_extend(chain: LoewnerChainSpec) -> ExtendedMap:
         outer_id="chain_radial",
         outer_params=(
             ("kind", chain.kind),
-            ("base", print_expr(chain.base_map.root)),
+            ("base", print_expr(chain.base_map)),
         ),
         outer=outer,
         special_points=((INFINITY, INFINITY),),
@@ -544,7 +542,7 @@ def becker_extend(chain: LoewnerChainSpec) -> ExtendedMap:
 # theorem routing
 
 
-def build_extension(theorem: str, f: MapExpr, params: Dict[str, complex]) -> ExtendedMap:
+def build_extension(theorem: str, f: Node, params: Dict[str, complex]) -> ExtendedMap:
     """Route a map to the extension construction the theorem flag names."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")

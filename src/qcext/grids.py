@@ -11,11 +11,11 @@ resolve to the first point in that order, so sweeps are deterministic.
 
 The verify sweeps never hold a whole grid.  ``disc_blocks``,
 ``exterior_blocks`` and ``field_blocks`` yield each side's points in grid
-order, in the evaluation blocks that ``blocks`` cuts it into; ``polar_blocks``
-slices each block from the product of the rings it touches, so every point
-has its bits in ``polar``.  A sweep holds one block, its rings and the
-temporaries of one block: a few MiB at any grid size, as long as one ring
-holds at most ``BLOCK_POINTS`` points.
+order, in the evaluation blocks that ``blocks(n)`` cuts a side of n points
+into; ``polar_blocks`` slices each block from the product of the rings it
+touches, so every point has its bits in ``polar``.  A sweep holds one block,
+its rings and the temporaries of one block: a few MiB at any grid size, as
+long as one ring holds at most ``BLOCK_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -118,11 +118,11 @@ def polar(radii: np.ndarray, rays: np.ndarray) -> np.ndarray:
 
 
 def polar_blocks(radii: np.ndarray, rays: np.ndarray) -> Iterator[np.ndarray]:
-    """polar(radii, rays) in the cuts of blocks(0, n), each block sliced from
+    """polar(radii, rays) in the cuts of blocks(n), each block sliced from
     the polar product of the rings it touches, so every point has the bits it
     has in polar; consecutive blocks within the same rings share one product."""
     m, rings = rays.size, None
-    for lo, hi in blocks(0, radii.size * m):
+    for lo, hi in blocks(radii.size * m):
         j, k = lo // m, -(-hi // m)
         if rings != (j, k):
             rings, product = (j, k), polar(radii[j:k], rays)
@@ -185,23 +185,12 @@ def seam_sup(values: np.ndarray) -> float:
     return math.inf
 
 
-def blocks(lo: int, hi: int) -> list[tuple[int, int]]:
-    """(start, stop) bounds that cut the run [lo, hi) into (hi - lo) //
-    BLOCK_POINTS near-equal blocks; a run shorter than 2 * BLOCK_POINTS stays
-    whole, so every block holds at least BLOCK_POINTS points unless the run
-    itself is shorter."""
-    n = max(1, (hi - lo) // BLOCK_POINTS)
-    q, r = divmod(hi - lo, n)
-    edges = [lo + i * q + min(i, r) for i in range(n + 1)]
+def blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds that cut the run [0, n) into n // BLOCK_POINTS
+    near-equal blocks; a run shorter than 2 * BLOCK_POINTS stays whole, so
+    every block holds at least BLOCK_POINTS points unless the run itself is
+    shorter."""
+    k = max(1, n // BLOCK_POINTS)
+    q, r = divmod(n, k)
+    edges = [i * q + min(i, r) for i in range(k + 1)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def side_blocks(points: np.ndarray) -> Iterator[np.ndarray]:
-    """Views of the flat array points, in order: each run of points on one
-    side of |z| = 1 in the cuts of blocks(), so no block crosses the seam."""
-    inside = np.abs(points) < 1.0
-    cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), points.size]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            for a, b in blocks(lo, hi):
-                yield points[a:b]

@@ -38,7 +38,7 @@ from .mapexpr import (
     Add,
     Const,
     Div,
-    MapExpr,
+    Node,
     Var,
     compose,
     denominator_roots,
@@ -112,7 +112,7 @@ class LoewnerChainSpec:
     """
 
     kind: str
-    base_map: MapExpr
+    base_map: Node
     c_lead: complex
     claimed_k: float
 
@@ -204,7 +204,7 @@ class ChainCheckReport:
 # construction
 
 
-def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
+def build_chain(kind: str, base_map: Node) -> LoewnerChainSpec:
     """Validate the base map for the requested kind and derive c_lead and
     the claimed criterion sup (classifiers.seam_bound of the kind's
     criterion).  kind is a CHAIN_KINDS name or one of its CHAIN_KINDS_SHORT
@@ -244,19 +244,14 @@ def build_chain(kind: str, base_map: MapExpr) -> LoewnerChainSpec:
     return LoewnerChainSpec(kind, base_map, c0, seam_bound(base_map, which))
 
 
-def time_zero_map(spec: LoewnerChainSpec) -> MapExpr:
+def time_zero_map(spec: LoewnerChainSpec) -> Node:
     """The interior univalent map f(., 0) as an expression."""
     if spec.kind in ("thm2_eq3", "thm5_chain", "convex_chain"):
         return spec.base_map
     if spec.kind == "krzyz_eq9":
-        root = Div(
-            Const(1 + 0j), Add(spec.base_map.root, Div(Const(1 + 0j), Var()))
-        )
-        return MapExpr(root)
+        return Div(Const(1 + 0j), Add(spec.base_map, Div(Const(1 + 0j), Var())))
     # exterior kinds: f0(z) = 1/g(1/z)
-    g_of_inv = compose(spec.base_map, parse_map("1/z"))
-    root = Div(Const(1 + 0j), g_of_inv.root)
-    return MapExpr(root)
+    return Div(Const(1 + 0j), compose(spec.base_map, parse_map("1/z")))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +259,7 @@ def time_zero_map(spec: LoewnerChainSpec) -> MapExpr:
 
 
 @lru_cache(maxsize=64)
-def _stable_ratio(m: MapExpr):
+def _stable_ratio(m: Node):
     """Coefficients (P, A) with A = z*Q - P for the rational base map P/Q.
 
     The literal denominator z - s*f(e^{-t}z) loses all leading orders at

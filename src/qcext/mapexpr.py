@@ -13,12 +13,17 @@ Numbers are unsigned decimal literals with optional fraction and exponent
 complex constants are spelled ``a+b*i``.  Power exponents are integers with
 magnitude at most ``MAX_EXPONENT``.
 
+A map is its syntax tree: parse_map returns the root Node, and derive and
+compose return trees.  Nodes are frozen dataclasses, so a tree hashes and
+compares by value and keys the caches of the normal form and the derivative.
+
 The canonical printed form is fully parenthesized with coefficients at 17
 significant digits, and re-parsing it reproduces the identical tree.  Parse
 errors carry the byte offset of the offending character; at end of input the
 offset is clamped onto the last byte.
 
-Every scalar quantity reads the rational normal form P/Q of the map.
+Every scalar quantity reads the rational normal form P/Q of the map, which
+raises ValueError rather than keep a coefficient that overflowed.
 Taylor jets at 0 are the power series of P/Q, and the expansion at infinity
 is the same series of the reversed coefficients, in the chart w = 1/z.
 eval_map works on the Riemann sphere and owns its quotient rule: at a
@@ -153,20 +158,6 @@ Node = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow]
 _I = Const(1j)
 _ZERO = Const(0j)
 _ONE = Const(1 + 0j)
-
-
-@dataclass(frozen=True)
-class MapExpr:
-    """A parsed map: its syntax tree."""
-
-    root: Node
-
-    @property
-    def canonical(self) -> str:
-        return print_expr(self.root)
-
-    def __str__(self) -> str:
-        return self.canonical
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +296,10 @@ class _Parser:
         raise self._err("expected operand", tok)
 
 
-def parse_map(text: str) -> MapExpr:
-    """Parse grammar text into a MapExpr.  Raises ParseError with offset."""
-    return MapExpr(_Parser(text).parse())
+def parse_map(text: str) -> Node:
+    """Parse grammar text into its syntax tree.  Raises ParseError with
+    offset."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +364,7 @@ def const_node(c: complex) -> Node:
 # Evaluation
 
 
-def eval_map(m: MapExpr, z: ExtComplex) -> ExtComplex:
+def eval_map(m: Node, z: ExtComplex) -> ExtComplex:
     """Evaluate on the sphere from the rational normal form P/Q.  Poles
     return INFINITY; indeterminate forms raise EvalError."""
     p, q = rational_form(m)
@@ -411,13 +403,13 @@ def eval_map(m: MapExpr, z: ExtComplex) -> ExtComplex:
     return v if cmath.isfinite(v) else INFINITY
 
 
-def eval_array(m: MapExpr, Z: np.ndarray) -> np.ndarray:
+def eval_array(m: Node, Z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation with IEEE semantics: poles become inf/nan
     silently.  Meant for grid sweeps where exceptional points are masked by
     the caller."""
     Z = np.asarray(Z, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _ev_arr(m.root, Z)
+        out = _ev_arr(m, Z)
     return np.broadcast_to(out, Z.shape).astype(np.complex128, copy=False)
 
 
@@ -450,11 +442,11 @@ def _ev_arr(node: Node, Z: np.ndarray):
 
 def _trim(p: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(p)) if p.size else 0.0
+    if not np.isfinite(scale):
+        raise ValueError("the rational normal form overflows: a coefficient is inf or nan")
     if scale == 0.0:
         return np.zeros(1, dtype=np.complex128)
     keep = np.nonzero(np.abs(p) > TAU_TRIM * scale)[0]
-    if keep.size == 0:
-        return np.zeros(1, dtype=np.complex128)
     return p[: keep[-1] + 1]
 
 
@@ -483,13 +475,15 @@ def _ppow(a: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=512)
-def rational_form(m: MapExpr) -> tuple[np.ndarray, np.ndarray]:
+def rational_form(m: Node) -> tuple[np.ndarray, np.ndarray]:
     """The map as a ratio P(z)/Q(z) of polynomials, ascending coefficients.
 
     Exact in the polynomial algebra up to float rounding; no common-factor
-    cancellation is attempted.  Cached per map, so both arrays are read-only.
+    cancellation is attempted.  A coefficient, final or intermediate, that
+    is inf or nan raises ValueError, as the form would read as another map.
+    Cached per map, so both arrays are read-only.
     """
-    P, Q = _rational(m.root)
+    P, Q = _rational(m)
     P.flags.writeable = Q.flags.writeable = False
     return P, Q
 
@@ -513,7 +507,7 @@ def shifted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rational(node: Node) -> tuple[np.ndarray, np.ndarray]:
     one = np.ones(1, dtype=np.complex128)
     if isinstance(node, Const):
-        return np.array([node.value], dtype=np.complex128), one
+        return _trim(np.array([node.value], dtype=np.complex128)), one
     if isinstance(node, Var):
         return np.array([0, 1], dtype=np.complex128), one
     if isinstance(node, Neg):
@@ -558,7 +552,7 @@ def denominator_roots(Q: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyroots(Q)
 
 
-def poles_in_disc(m: MapExpr, radius: float = 1.0) -> list[complex]:
+def poles_in_disc(m: Node, radius: float = 1.0) -> list[complex]:
     """Roots of the denominator with |root| < radius, excluding removable
     candidates where the numerator vanishes as well."""
     P, Q = rational_form(m)
@@ -660,30 +654,24 @@ def _d(node: Node) -> Node:
 
 
 @functools.lru_cache(maxsize=512)
-def derive(m: MapExpr) -> MapExpr:
+def derive(m: Node) -> Node:
     """Symbolic derivative.  The result round-trips through the grammar."""
-    root = _d(m.root)
-    return MapExpr(root)
+    return _d(m)
 
 
-def compose(m: MapExpr, inner: MapExpr) -> MapExpr:
+def compose(m: Node, inner: Node) -> Node:
     """Substitute inner for the variable of m (tree substitution)."""
-
-    def sub(node: Node) -> Node:
-        if isinstance(node, Var):
-            return inner.root
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Neg):
-            return Neg(sub(node.child))
-        if type(node) in _SYMBOL:
-            return type(node)(sub(node.left), sub(node.right))
-        if isinstance(node, Pow):
-            return Pow(sub(node.base), node.exponent)
-        raise TypeError(f"not a node: {node!r}")
-
-    root = sub(m.root)
-    return MapExpr(root)
+    if isinstance(m, Var):
+        return inner
+    if isinstance(m, Const):
+        return m
+    if isinstance(m, Neg):
+        return Neg(compose(m.child, inner))
+    if type(m) in _SYMBOL:
+        return type(m)(compose(m.left, inner), compose(m.right, inner))
+    if isinstance(m, Pow):
+        return Pow(compose(m.base, inner), m.exponent)
+    raise TypeError(f"not a node: {m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +700,7 @@ def _series_quotient(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.convolve(pa, series_inv(pb))[:n]
 
 
-def taylor_jet(m: MapExpr, order: int) -> tuple[complex, ...]:
+def taylor_jet(m: Node, order: int) -> tuple[complex, ...]:
     """Taylor coefficients (c_0, ..., c_order) at 0, the power series of the
     rational normal form P/Q, as a tuple of Python complexes.
 
@@ -726,7 +714,7 @@ def taylor_jet(m: MapExpr, order: int) -> tuple[complex, ...]:
     return tuple(complex(c) for c in coeffs)
 
 
-def laurent_at_infinity(m: MapExpr, order: int) -> tuple[int, np.ndarray]:
+def laurent_at_infinity(m: Node, order: int) -> tuple[int, np.ndarray]:
     """Expansion at infinity: returns (k, c) with
     m(z) = sum_j c[j] * z^(k - j), j = 0..order, c[0] != 0.
 
@@ -742,7 +730,7 @@ def laurent_at_infinity(m: MapExpr, order: int) -> tuple[int, np.ndarray]:
     return dp - dq, _series_quotient(P[dp::-1], Q[dq::-1], order + 1)
 
 
-def is_normalized(m: MapExpr) -> bool:
+def is_normalized(m: Node) -> bool:
     """True when the jet at 0 starts z + O(z^2)."""
     try:
         jet = taylor_jet(m, 2)

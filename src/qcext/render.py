@@ -78,7 +78,7 @@ def render_domaincolor(fn, resolution: int = 512, window: float = 2.5) -> np.nda
         W = np.asarray(fn(Z), dtype=np.complex128).reshape(-1)
         rgb = np.empty(Z.shape + (3,), dtype=np.uint8)
         pixels = rgb.reshape(-1, 3)
-        cuts = blocks(0, W.size)
+        cuts = blocks(W.size)
         # val, sat and hue end as the planes v, p and x (the first block is largest)
         floats, planes = np.empty((5, cuts[0][1])), np.empty((3, cuts[0][1]), np.uint8)
         for lo, hi in cuts:

@@ -47,7 +47,6 @@ from qcext.grids import (
     field_blocks,
     polar,
     seam_circle,
-    side_blocks,
 )
 from qcext.mapexpr import parse_map
 from qcext.sphere import INFINITY
@@ -169,13 +168,13 @@ def _old_field(em, points):
 
 def _assert_layout(got, points):
     """The blocks got hold the bytes of points in order, and each side's run
-    of n points is cut exactly as grids.blocks(0, n) cuts it."""
+    of n points is cut exactly as grids.blocks(n) cuts it."""
     got = list(got)
     assert np.concatenate(got).tobytes() == points.tobytes()
     inside = np.abs(points) < 1.0
     cuts = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1).tolist(), points.size]
     sizes = [hi - lo for lo, hi in zip(cuts[:-1], cuts[1:])]
-    assert [b.size for b in got] == [b - a for n in sizes for a, b in blocks(0, n)]
+    assert [b.size for b in got] == [b - a for n in sizes for a, b in blocks(n)]
 
 
 def _same_class(m, which, params, grid):
@@ -359,12 +358,14 @@ def test_field_argmax_tie_across_blocks_keeps_the_first_point():
     rng = np.random.default_rng(5)
     n = 2 * BLOCK_POINTS + 500
     points = 0.5 * np.exp(2j * np.pi * rng.random(n)) * rng.random(n)
+    (_, cut), _ = blocks(n)
     top = 0.9 * np.exp(0.7j)
-    points[100], points[BLOCK_POINTS + 100] = top, -top
+    points[100], points[cut + 100] = top, -top
     em = _flat_map(outer)
     fz, fzb = _wirtinger_block(em.evaluate_array, np.array([top, -top]))
     assert np.abs(fzb / fz)[0] == np.abs(fzb / fz)[1]
-    _assert_layout(side_blocks(points), points)
-    got = beltrami_field(em, points)
+    got = beltrami_field(em, (points[lo:hi] for lo, hi in blocks(n)))
     assert repr(got) == repr(_old_field(em, points))
     assert got.argmax_point == top
+    # one flat array is one block, and the first point still wins
+    assert repr(beltrami_field(em, points)) == repr(got)

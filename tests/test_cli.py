@@ -286,6 +286,27 @@ def test_a_constant_map_exits_two_with_one_line(text, theorem, capsys):
     assert captured.err == "qcext: map is constant, so it has no extension\n"
 
 
+OVERFLOWED_FORM = "qcext: the rational normal form overflows: a coefficient is inf or nan\n"
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+@pytest.mark.parametrize("text", ["z+(1e200*z)^2", "z*(1+1e200*z)^2"])
+def test_an_overflowed_normal_form_exits_two_under_every_theorem(text, theorem, capsys):
+    # an inf coefficient trimmed to the zero polynomial: the first map read
+    # as the identity, and the second as a constant under brown and t5
+    code = main(["verify", "--map", text, "--theorem", theorem, "--grid", "16x16"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", OVERFLOWED_FORM)
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS)
+def test_an_overflowed_normal_form_exits_two_under_every_chain_kind(kind, capsys):
+    # thm2 took the identity's r0 and exited 1, the others exited 3
+    code = main(["chain", "--map", "z+(1e200*z)^2", "--chain", kind, "--grid", "8x8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", OVERFLOWED_FORM)
+
+
 @pytest.mark.parametrize("theorem", ["brown", "t5"])
 def test_a_derivative_with_a_triple_zero_is_not_constant(theorem, capsys):
     argv = ["verify", "--map", "z^4", "--theorem", theorem, "--grid", "16x16"]
@@ -331,6 +352,22 @@ def test_chain_singular_inside_the_disc_exits_three(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "qcext: singularity: chain singular at z=(0.05+0j), t=0.0\n"
+
+
+def test_thm5_chain_refuses_a_map_that_moves_zero(capsys):
+    code = main(["chain", "--chain", "t5", "--map=-z+0.3*z^2+0.01", "--grid", "8x8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "qcext: thm5_chain needs f(0)=0\n")
+
+
+def test_t3_refuses_a_phi_that_does_not_vanish_to_second_order(capsys):
+    # f'(0) - 1 = 9e-13 passes the normalization test, but phi'(0) =
+    # a2 (1 - 1/f'(0)^2) is about 1.8e-9 for a2 = 1000, above TAU_JET
+    argv = ["verify", "--map", "(1+9e-13)*z+1000*z^2", "--theorem", "t3", "--grid", "16x16"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "qcext: phi does not vanish to second order at 0\n"
 
 
 def test_psi_with_p_refuses_a_map_other_than_p_z_over_p_minus_z(capsys):

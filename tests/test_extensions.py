@@ -26,7 +26,6 @@ from qcext.grids import seam_circle
 from qcext.loewner import CHAIN_KINDS_SHORT, LoewnerChainSpec, build_chain, herglotz_array
 from qcext.mapexpr import (
     Const,
-    MapExpr,
     Mul,
     Var,
     compose,
@@ -366,7 +365,7 @@ def test_special_point_verification_catches_lies():
 def test_summary_shape(built_corpus):
     em = built_corpus["thm2_ex2"]
     s = em.summary()
-    assert s["inner"] == print_expr(EX2.root)
+    assert s["inner"] == print_expr(EX2)
     assert s["outer"]["id"] == "map_reflection"
     assert '"special_points":[["infinity","infinity"]]' in dump_json(s)
     r = built_corpus["radial_vp"].summary()
@@ -432,8 +431,8 @@ def _rotations(f):
     theta = 2 pi j / 4096."""
     for j in (1, 7, 512, 1365, 2048, 3000):
         theta = 2.0 * math.pi * j / 4096
-        spin = MapExpr(Mul(Const(cmath.exp(1j * theta)), Var()))
-        yield j, MapExpr(Mul(Const(cmath.exp(-1j * theta)), compose(f, spin).root))
+        spin = Mul(Const(cmath.exp(1j * theta)), Var())
+        yield j, Mul(Const(cmath.exp(-1j * theta)), compose(f, spin))
 
 
 def _conjugate(node):
@@ -484,7 +483,7 @@ def test_conjugate_keeps_claimed_k(bid):
         warnings.simplefilter("ignore")
         k = build_extension(ex.theorem, f, ex.params()).claimed_k
         for j, g in [(0, f), *_rotations(f)]:
-            g_bar = MapExpr(_conjugate(g.root))
+            g_bar = _conjugate(g)
             Z = np.array([0.2 + 0.6j, -0.4j, 0.7 - 0.1j])
             want = np.conj(eval_array(g, np.conj(Z)))
             assert np.allclose(eval_array(g_bar, Z), want, rtol=1e-12, atol=0.0), j

@@ -185,7 +185,7 @@ def test_colour_bytes_match_float_pipeline_on_crafted_values_in_every_block():
     # inf, zero, h mod 1 = 1.0 and sextant-boundary hues
     crafted = _crafted_values()
     values = np.resize(crafted, 512 * 512)
-    for lo, hi in blocks(0, values.size):
+    for lo, hi in blocks(values.size):
         w = values[lo:hi]
         hue = np.angle(w) / (2.0 * np.pi)
         assert np.any(np.isnan(w)) and np.any(np.isinf(w)) and np.any(w == 0)
